@@ -69,31 +69,23 @@ int main(int argc, char** argv) {
     opts.quic.loss_mode = v.mode;
     opts.quic.nack_threshold = v.threshold;
     std::vector<double> plts;
-    std::uint64_t losses = 0;
-    std::uint64_t spurious = 0;
+    obs::MetricsRegistry metrics;
+    const RunObserver observer{nullptr, &metrics, "quic."};
     quic::TokenCache tokens;
     // Warm the token cache once, then measure.
     (void)run_quic_page_load(reorder_scenario(299), {1, 1024}, opts, tokens);
     for (int r = 0; r < n; ++r) {
-      Scenario s = reorder_scenario(300 + static_cast<std::uint64_t>(r));
-      Testbed tb(s);
-      http::QuicObjectServer server(tb.sim(), tb.server_host(), kQuicPort,
-                                    opts.quic);
-      http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                      tb.server_host().address(), kQuicPort,
-                                      opts.quic, tokens);
-      http::PageLoader loader(tb.sim(), session,
-                              {page.object_count, page.object_bytes});
-      loader.start();
-      if (tb.run_until([&] { return loader.finished(); }, seconds(600))) {
-        plts.push_back(to_seconds(loader.result().plt));
-      }
-      if (auto* sc = server.server().latest_connection()) {
-        losses += sc->stats().packets_declared_lost;
-        spurious += sc->stats().spurious_losses;
+      if (auto plt = run_quic_page_load(
+              reorder_scenario(300 + static_cast<std::uint64_t>(r)), page,
+              opts, tokens, &observer)) {
+        plts.push_back(*plt);
       }
       std::fputc('.', stderr);
     }
+    // Losses as the server (the download's sender) declared them.
+    const std::uint64_t losses = metrics.counter("quic.server_declared_lost");
+    const std::uint64_t spurious =
+        metrics.counter("quic.server_spurious_losses");
     const auto s = stats::summarize(plts);
     longlook::bench::context().record_scalar(
         "Fig. 10: PLT by loss-detection policy", v.label + " mean_us",

@@ -2,6 +2,10 @@
 // Secs. 3.3/5.2): >=10 rounds per scenario, QUIC and TCP back-to-back with
 // the same network randomness per round, Welch's t-test at p < 0.01, and
 // persistent 0-RTT state across rounds (sockets closed, token cache kept).
+//
+// Page loads and the scenario-DSL runs of perf.h share one run body (a page
+// load is the one-entry scenario `*1:0:-:page=NxB;`) and one paired-cell
+// submitter; both live in compare_detail.h.
 #pragma once
 
 #include <functional>
@@ -58,9 +62,10 @@ struct CompareOptions {
   // the exact untraced code path.
   bool sample_state = false;
   Duration sample_interval = milliseconds(10);
-  // Testbed self-observability: when non-null, every page-load run folds
-  // its simulator/link work counters (events dispatched, timer ops, packets
-  // forwarded, bytes moved) and wall time into the calling worker's shard.
+  // Testbed self-observability: when non-null, every run (warm fetches and
+  // scenario runs included) folds its simulator/link work counters (events
+  // dispatched, timer ops, packets forwarded, bytes moved) and wall time
+  // into the calling worker's shard.
   // nullptr == profiling disabled, zero cost, byte-identical output. Must
   // outlive the sweep.
   obs::Profiler* profiler = nullptr;
@@ -81,8 +86,8 @@ struct CellResult {
   obs::MetricsRegistry metrics;
 };
 
-// Optional per-run observability hooks threaded through the page-load
-// runners: `trace` receives the run's structured events (null == tracing
+// Optional per-run observability hooks threaded through the run entry
+// points (page loads here, scenarios in perf.h): `trace` receives the run's structured events (null == tracing
 // disabled, zero formatting cost), `metrics` receives per-run totals under
 // `prefix` (e.g. "quic.packets_sent").
 struct RunObserver {

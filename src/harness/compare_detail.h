@@ -1,92 +1,100 @@
-// Cell-fold machinery shared between the page-load compare path
-// (compare.cc) and the scenario-DSL perf path (perf.cc). Internal to the
-// harness — benches and tests use the public entry points in compare.h /
-// perf.h.
+// The harness's one run path and one paired-cell submitter, shared by the
+// page-load entry points (compare.cc) and the scenario-DSL entry points
+// (perf.cc). Internal to the harness — benches and tests use the public
+// entry points in compare.h / perf.h.
 //
-// The determinism contract lives here: round jobs write disjoint scratch
-// slots, the warm job runs strictly before every round (job-graph edge),
-// and the commit job folds slots in round order — so a folded CellResult
-// and every artifact file name are byte-identical at any LL_JOBS.
+// Every run drives a workload::ScenarioRunner: a page load is the one-entry
+// spec `*1:0:-:page=NxB;`, which issues the same requests with the same
+// MSPC queueing as http::PageLoader, so PLTs and work counters are
+// unchanged (pinned in tests/test_workload.cc).
+//
+// The determinism contract lives in submit_cell: round jobs write disjoint
+// scratch slots, the warm job runs strictly before every round (job-graph
+// edge), and the commit job folds slots in round order — so a folded
+// CellResult and every artifact file name are byte-identical at any
+// LL_JOBS.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "harness/compare.h"
+#include "harness/perf.h"
 #include "http/object_service.h"
 
 namespace longlook::harness::detail {
 
-// Per-cell scratch shared between a cell's jobs. Round jobs write disjoint
-// slots; each round reads a settled post-warm token cache and copies it —
-// rounds never share mutable state, which is what makes the fold
-// independent of the worker count.
-struct CellScratch {
-  quic::TokenCache tokens_a;
-  quic::TokenCache tokens_b;
-  std::vector<std::optional<double>> a_plts;
-  std::vector<std::optional<double>> b_plts;
-  // Per-round metric totals, merged into CellResult::metrics in round order
-  // by the commit job (disjoint slots, same scheme as the PLT vectors).
-  std::vector<obs::MetricsRegistry> round_metrics;
+// What differs between the two stacks in a run; everything else is shared.
+struct QuicStack {
+  using Server = http::QuicObjectServer;
+  using Session = http::QuicClientSession;
+  static constexpr const char* kName = "quic";
+  static constexpr const char* kTimer = "run:quic";
+  static constexpr Port kPort = kQuicPort;
+  static constexpr auto kConfig = &CompareOptions::quic;
+  static constexpr auto kConnectToMid = &CompareOptions::quic_connect_to_mid;
+  static constexpr auto kConnectPort = &CompareOptions::quic_connect_port;
+  static constexpr bool kTakesTokens = true;  // 0-RTT token cache
+  // Client and server connection counters, under prefix `p`.
+  static void fold(obs::MetricsRegistry& m, const std::string& p,
+                   Session& session, Server& server);
 };
 
-// Folds per-round slots into the CellResult in round order (means, Welch's
-// t-test, merged metrics) and ticks `progress` (may be nullptr).
-void commit_cell(const CellScratch& scratch, CellResult* out,
-                 ProgressReporter* progress);
+struct TcpStack {
+  using Server = http::TcpObjectServer;
+  using Session = http::H2ClientSession;
+  static constexpr const char* kName = "tcp";
+  static constexpr const char* kTimer = "run:tcp";
+  static constexpr Port kPort = kTcpPort;
+  static constexpr auto kConfig = &CompareOptions::tcp;
+  static constexpr auto kConnectToMid = &CompareOptions::tcp_connect_to_mid;
+  static constexpr auto kConnectPort = &CompareOptions::tcp_connect_port;
+  static constexpr bool kTakesTokens = false;
+  static void fold(obs::MetricsRegistry& m, const std::string& p,
+                   Session& session, Server& server);
+};
 
-// Round r's scenario: same network, per-round derived seed.
-Scenario round_scenario(const Scenario& scenario, int r);
+// Runs `spec` over stack S in a fresh testbed; returns its stats or
+// nullopt on timeout. `page` marks a harness page load: run:start then
+// carries the Workload's shape and the scn_* totals are not folded.
+// `tokens` is the QUIC token cache (unused by TCP). Instantiated for
+// QuicStack and TcpStack in compare.cc.
+template <typename S>
+std::optional<ScenarioRunStats> run_stack(const Scenario& scenario,
+                                          const workload::ScenarioSpec& spec,
+                                          const Workload* page,
+                                          const CompareOptions& opts,
+                                          quic::TokenCache* tokens,
+                                          const RunObserver* observer);
 
-// Trace artifacts land in opts.trace_dir, or $LL_TRACE_OUT when that is
-// empty; both empty == tracing disabled.
-std::string trace_directory(const CompareOptions& opts);
+// One side of a paired cell. Side 0 plays the QUIC role and supplies the
+// cell's rounds, trace dir and label; a QUIC side warms its own token cache
+// (side 0 at seed+7919, side 1 at seed+104729) when opts.warm_zero_rtt.
+struct CellSide {
+  bool quic = true;  // QUIC, or TCP + TLS + HTTP/2
+  CompareOptions opts;
+  std::string suffix;  // artifact `<label>_r<round>_<suffix>.jsonl`
+  std::string prefix;  // metric key prefix
+};
 
-// Unique, submission-ordered artifact label for one cell. Submissions
-// happen serially on the calling thread regardless of LL_JOBS, so the id —
-// and therefore every artifact file name — is identical for any worker
-// count.
-std::string cell_label(const Scenario& scenario, const CompareOptions& opts);
+// Submits one paired cell: the warm job, one job per round (side 0 then
+// side 1 on the same round seed), and the commit job that folds the rounds
+// in order into *out and ticks `progress` (may be nullptr). `page` as in
+// run_stack. Returns the commit job's ticket.
+SweepRunner::Ticket submit_cell(SweepRunner& runner, const Scenario& scenario,
+                                workload::ScenarioSpec spec,
+                                std::optional<Workload> page,
+                                std::array<CellSide, 2> sides, CellResult* out,
+                                ProgressReporter* progress);
 
 // Trace epilogue: plt_ns on completion, timed_out otherwise.
 void emit_run_summary(obs::TraceSink* sink, bool done, Duration plt,
                       TimePoint now);
 
-// Folds the testbed's link drop/reorder totals into `m` under prefix `p`.
-void fold_link_metrics(obs::MetricsRegistry& m, const std::string& p,
-                       Testbed& tb);
-
-// Folds the run's simulator/link work volume into the profiler shard. The
-// values themselves are deterministic (virtual-time bookkeeping); only the
-// wall-time histograms alongside them vary run to run.
-void fold_profile_counters(obs::ProfilerShard* prof, Testbed& tb);
-
-// Periodic `ts:` sampling opt-in: opts.sample_state, or LL_SAMPLE set to
-// anything but "" / "0". Only consulted when the run is traced.
-bool sampling_enabled(const CompareOptions& opts);
-
 // Registers the testbed's access-link queues (dirs "up" / "down") and the
 // client / server hosts with the sampler. Registration order is fixed, so
 // `ts:` record order within a tick is too.
 void register_testbed_probes(obs::StateSampler& sampler, Testbed& tb);
-
-// Folds sampler telemetry into the profiler shard: `ts_samples` (records
-// emitted this run) and `flight_dumps` (thread-local dump-count delta since
-// `dumps_before`). Null sampler contributes 0 samples.
-void fold_sampler_counters(obs::ProfilerShard* prof,
-                           const obs::StateSampler* sampler,
-                           std::uint64_t dumps_before);
-
-// Per-run transport metrics + trace epilogue, shared by the page-load and
-// scenario runners. `plt` is the run's headline duration (page PLT or
-// scenario completion time), observed as "<prefix>plt_us" on completion.
-void fold_quic_run_metrics(const RunObserver& observer, bool done,
-                           Duration plt, http::QuicClientSession& session,
-                           http::QuicObjectServer& server, Testbed& tb);
-void fold_tcp_run_metrics(const RunObserver& observer, bool done,
-                          Duration plt, http::H2ClientSession& session,
-                          http::TcpObjectServer& server, Testbed& tb);
 
 }  // namespace longlook::harness::detail

@@ -1,249 +1,32 @@
 #include "harness/perf.h"
 
-#include <filesystem>
-#include <memory>
-
 #include "harness/compare_detail.h"
-#include "net/trace.h"
-#include "obs/flight_recorder.h"
-#include "obs/sampler.h"
-#include "sim/timer.h"
-#include "util/check.h"
 
 namespace longlook::harness {
-
-namespace {
-
-// run:start for a scenario run. The schema's required workload fields map
-// to the scenario's totals (objects = transactions, object_bytes = bytes
-// downloaded); the DSL string itself rides along as an extra field so a
-// trace is self-describing.
-void emit_scenario_run_start(obs::TraceSink* sink, const char* proto,
-                             const Scenario& scenario,
-                             const workload::ScenarioSpec& spec,
-                             TimePoint now) {
-  if (sink == nullptr) return;
-  sink->record(obs::TraceEvent("run:start", now)
-                   .u("v", 3)
-                   .s("proto", proto)
-                   .s("scenario", scenario.name)
-                   .u("seed", scenario.seed)
-                   .u("objects", spec.total_transactions())
-                   .u("object_bytes", spec.total_download_bytes())
-                   .s("perf_scenario", spec.format()));
-}
-
-// Scenario totals folded next to the transport counters; recorded before
-// fold_*_run_metrics so they land in the trace's run:metrics line too.
-void fold_scenario_totals(const RunObserver* observer,
-                          const workload::ScenarioResult& res) {
-  if (observer == nullptr || observer->metrics == nullptr) return;
-  obs::MetricsRegistry& m = *observer->metrics;
-  const std::string& p = observer->prefix;
-  m.incr(p + "scn_transactions", res.transactions);
-  m.incr(p + "scn_upload_bytes", res.upload_bytes);
-  m.incr(p + "scn_download_bytes", res.download_bytes);
-}
-
-ScenarioRunStats to_stats(const workload::ScenarioResult& res) {
-  ScenarioRunStats out;
-  out.duration_s = to_seconds(res.duration);
-  out.transactions = res.transactions;
-  out.upload_bytes = res.upload_bytes;
-  out.download_bytes = res.download_bytes;
-  return out;
-}
-
-}  // namespace
 
 std::optional<ScenarioRunStats> run_quic_scenario(
     const Scenario& scenario, const workload::ScenarioSpec& spec,
     const CompareOptions& opts, quic::TokenCache& tokens,
     const RunObserver* observer) {
-  obs::ProfilerShard* prof = obs::Profiler::local(opts.profiler);
-  obs::ScopedTimer run_timer(prof, "run:quic");
-  obs::TraceSink* sink = observer != nullptr ? observer->trace : nullptr;
-  CompareOptions traced;
-  const CompareOptions* eff = &opts;
-  if (sink != nullptr) {
-    traced = opts;
-    traced.quic.trace = sink;
-    eff = &traced;
-  }
-  // Periodic `ts:` sampling (schema v3); see compare.cc run_quic_page_load.
-  std::optional<obs::StateSampler> sampler;
-  const std::uint64_t dumps_before = obs::FlightRecorder::thread_dumps();
-  if (sink != nullptr && detail::sampling_enabled(opts)) {
-    sampler.emplace(sink);
-    traced.quic.sampler = &*sampler;
-  }
-
-  Testbed tb(scenario);
-  std::optional<LinkEventObserver> up_obs;
-  std::optional<LinkEventObserver> down_obs;
-  if (sink != nullptr) {
-    up_obs.emplace(tb.uplink(), *sink, "up");
-    down_obs.emplace(tb.downlink(), *sink, "down");
-    emit_scenario_run_start(sink, "quic", scenario, spec, tb.sim().now());
-  }
-  if (sampler) detail::register_testbed_probes(*sampler, tb);
-  http::QuicObjectServer server(tb.sim(), tb.server_host(), kQuicPort,
-                                eff->quic);
-  const std::shared_ptr<void> keepalive =
-      eff->setup ? eff->setup(tb) : nullptr;
-
-  const Address target = eff->quic_connect_to_mid
-                             ? tb.mid_host().address()
-                             : tb.server_host().address();
-  const Port port = eff->quic_connect_port.value_or(kQuicPort);
-  http::QuicClientSession session(tb.sim(), tb.client_host(), target, port,
-                                  eff->quic, tokens);
-  workload::ScenarioRunner runner(tb.sim(), session, spec);
-  runner.start();
-  std::optional<PeriodicTimer> sample_timer;
-  if (sampler) {
-    sample_timer.emplace(tb.sim(), eff->sample_interval,
-                         [&] { sampler->sample(tb.sim().now()); });
-  }
-  const bool done = tb.run_until([&] { return runner.finished(); },
-                                 eff->timeout);
-  detail::emit_run_summary(sink, done, runner.result().duration,
-                           tb.sim().now());
-  detail::fold_profile_counters(prof, tb);
-  detail::fold_sampler_counters(prof, sampler ? &*sampler : nullptr,
-                                dumps_before);
-
-  fold_scenario_totals(observer, runner.result());
-  if (observer != nullptr) {
-    detail::fold_quic_run_metrics(*observer, done, runner.result().duration,
-                                  session, server, tb);
-  }
-  if (!done) return std::nullopt;
-  return to_stats(runner.result());
+  return detail::run_stack<detail::QuicStack>(scenario, spec, nullptr, opts,
+                                              &tokens, observer);
 }
 
 std::optional<ScenarioRunStats> run_tcp_scenario(
     const Scenario& scenario, const workload::ScenarioSpec& spec,
     const CompareOptions& opts, const RunObserver* observer) {
-  obs::ProfilerShard* prof = obs::Profiler::local(opts.profiler);
-  obs::ScopedTimer run_timer(prof, "run:tcp");
-  obs::TraceSink* sink = observer != nullptr ? observer->trace : nullptr;
-  CompareOptions traced;
-  const CompareOptions* eff = &opts;
-  if (sink != nullptr) {
-    traced = opts;
-    traced.tcp.trace = sink;
-    eff = &traced;
-  }
-  // Periodic `ts:` sampling (schema v3); see compare.cc run_tcp_page_load.
-  std::optional<obs::StateSampler> sampler;
-  const std::uint64_t dumps_before = obs::FlightRecorder::thread_dumps();
-  if (sink != nullptr && detail::sampling_enabled(opts)) {
-    sampler.emplace(sink);
-    traced.tcp.sampler = &*sampler;
-  }
-
-  Testbed tb(scenario);
-  std::optional<LinkEventObserver> up_obs;
-  std::optional<LinkEventObserver> down_obs;
-  if (sink != nullptr) {
-    up_obs.emplace(tb.uplink(), *sink, "up");
-    down_obs.emplace(tb.downlink(), *sink, "down");
-    emit_scenario_run_start(sink, "tcp", scenario, spec, tb.sim().now());
-  }
-  if (sampler) detail::register_testbed_probes(*sampler, tb);
-  http::TcpObjectServer server(tb.sim(), tb.server_host(), kTcpPort,
-                               eff->tcp);
-  const std::shared_ptr<void> keepalive =
-      eff->setup ? eff->setup(tb) : nullptr;
-
-  const Address target = eff->tcp_connect_to_mid ? tb.mid_host().address()
-                                                 : tb.server_host().address();
-  const Port port = eff->tcp_connect_port.value_or(kTcpPort);
-  http::H2ClientSession session(tb.sim(), tb.client_host(), target, port,
-                                eff->tcp);
-  workload::ScenarioRunner runner(tb.sim(), session, spec);
-  runner.start();
-  std::optional<PeriodicTimer> sample_timer;
-  if (sampler) {
-    sample_timer.emplace(tb.sim(), eff->sample_interval,
-                         [&] { sampler->sample(tb.sim().now()); });
-  }
-  const bool done = tb.run_until([&] { return runner.finished(); },
-                                 eff->timeout);
-  detail::emit_run_summary(sink, done, runner.result().duration,
-                           tb.sim().now());
-  detail::fold_profile_counters(prof, tb);
-  detail::fold_sampler_counters(prof, sampler ? &*sampler : nullptr,
-                                dumps_before);
-
-  fold_scenario_totals(observer, runner.result());
-  if (observer != nullptr) {
-    detail::fold_tcp_run_metrics(*observer, done, runner.result().duration,
-                                 session, server, tb);
-  }
-  if (!done) return std::nullopt;
-  return to_stats(runner.result());
+  return detail::run_stack<detail::TcpStack>(scenario, spec, nullptr, opts,
+                                             nullptr, observer);
 }
 
 SweepRunner::Ticket compare_scenario_async(
     SweepRunner& runner, const Scenario& scenario,
     const workload::ScenarioSpec& spec, const CompareOptions& opts,
     CellResult* out, ProgressReporter* progress) {
-  auto scratch = std::make_shared<detail::CellScratch>();
-  scratch->a_plts.resize(static_cast<std::size_t>(opts.rounds));
-  scratch->b_plts.resize(static_cast<std::size_t>(opts.rounds));
-  scratch->round_metrics.resize(static_cast<std::size_t>(opts.rounds));
-
-  // Resolved now, on the submitting thread, so names don't depend on which
-  // worker eventually runs the round.
-  const std::string dir = detail::trace_directory(opts);
-  std::string label;
-  if (!dir.empty()) {
-    label = detail::cell_label(scenario, opts);
-    std::filesystem::create_directories(dir);
-  }
-
-  const SweepRunner::Ticket warm = runner.submit([scratch, scenario, opts] {
-    if (!opts.warm_zero_rtt) return;
-    Scenario w = scenario;
-    w.seed = scenario.seed + 7919;
-    (void)run_quic_page_load(w, {1, 1024}, opts, scratch->tokens_a);
-  });
-
-  std::vector<SweepRunner::Ticket> rounds;
-  rounds.reserve(static_cast<std::size_t>(opts.rounds));
-  for (int r = 0; r < opts.rounds; ++r) {
-    rounds.push_back(runner.submit(
-        [scratch, scenario, spec, opts, dir, label, r] {
-          const Scenario round = detail::round_scenario(scenario, r);
-          // Back-to-back: QUIC then TCP with identical network randomness.
-          quic::TokenCache tokens = scratch->tokens_a;
-          const std::size_t slot = static_cast<std::size_t>(r);
-          const bool tracing = !dir.empty();
-          obs::JsonLinesSink quic_sink;
-          obs::JsonLinesSink tcp_sink;
-          RunObserver quic_obs{tracing ? &quic_sink : nullptr,
-                               &scratch->round_metrics[slot], "quic."};
-          RunObserver tcp_obs{tracing ? &tcp_sink : nullptr,
-                              &scratch->round_metrics[slot], "tcp."};
-          const auto q =
-              run_quic_scenario(round, spec, opts, tokens, &quic_obs);
-          const auto t = run_tcp_scenario(round, spec, opts, &tcp_obs);
-          if (q) scratch->a_plts[slot] = q->duration_s;
-          if (t) scratch->b_plts[slot] = t->duration_s;
-          if (tracing) {
-            const std::string stem =
-                dir + "/" + label + "_r" + std::to_string(r);
-            LL_CHECK(quic_sink.write_file(stem + "_quic.jsonl"));
-            LL_CHECK(tcp_sink.write_file(stem + "_tcp.jsonl"));
-          }
-        },
-        {warm}));
-  }
-  return runner.submit([scratch, out, progress] {
-    detail::commit_cell(*scratch, out, progress);
-  }, rounds);
+  return detail::submit_cell(runner, scenario, spec, std::nullopt,
+                             {{{true, opts, "quic", "quic."},
+                               {false, opts, "tcp", "tcp."}}},
+                             out, progress);
 }
 
 CellResult compare_scenario(const Scenario& scenario,

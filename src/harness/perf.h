@@ -1,7 +1,8 @@
 // Scenario-DSL perf comparison path: runs a parsed workload::ScenarioSpec
 // (quicperf-style transactions, dependent streams, uploads, page graphs)
 // over both stacks with the same paired-seed, warm-0-RTT, Welch-tested cell
-// methodology as the page-load path in compare.h. A workload here is a
+// methodology as the page-load path in compare.h — through the same run body
+// and cell submitter (compare_detail.h). A workload here is a
 // string, not a translation unit — bench_perf feeds `--scenario` strings
 // straight into these entry points.
 #pragma once

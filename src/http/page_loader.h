@@ -2,6 +2,18 @@
 // ClientSession and measures page load time exactly as the paper does —
 // from connection initiation to the last object's final byte, with
 // per-object resource timings (the HAR extract of Sec. 3.3).
+//
+// The harness does not use it: harness page loads run as one-entry
+// `page=NxB` scenarios through workload::ScenarioRunner, which issues the
+// same requests with the same stream-limit queueing (identical PLT and
+// simulator counters, pinned in tests/test_workload.cc). It stays for the
+// code that builds a testbed by hand and reads per-object timings:
+//   * harness/fairness.cc — long-running flows sampled by bytes received;
+//   * perfbench/traced.cc — the benchmark's traced run, which rebuilds a
+//     harness run from the layers' types and must match its digest;
+//   * benches fig02, fig03, fig13 and tab05, examples quickstart and
+//     infer_state_machine;
+//   * tests (http, trace, proxy, e2e, handshake, paper findings).
 #pragma once
 
 #include <functional>

@@ -16,6 +16,9 @@ constexpr std::size_t kTlsServerFinish = 51;
 constexpr std::size_t kTlsClientInbound = kTlsServerFlight + kTlsServerFinish;
 constexpr std::size_t kTlsServerInbound = kTlsClientHello + kTlsClientFinish;
 
+// Acknowledged send-buffer bytes are dropped in batches of at least this.
+constexpr std::uint64_t kMinAckedRelease = 64 * 1024;
+
 }  // namespace
 
 CubicSenderConfig TcpConfig::make_cc_config() const {
@@ -166,7 +169,7 @@ void TcpConnection::write(BytesView data, bool fin) {
     // The FIN occupies one virtual byte at the end of the stream so that
     // cumulative ACK / SACK machinery covers it with no special cases.
     send_buffer_.push_back(0);
-    fin_offset_ = send_buffer_.size() - 1;
+    fin_offset_ = send_end() - 1;
     fin_queued_ = true;
   }
 }
@@ -288,7 +291,7 @@ void TcpConnection::try_send() {
   } else {
     rto_timer_.cancel();
     probe_timer_.cancel();
-    if (cc_->can_send(0) && snd_nxt_ >= send_buffer_.size()) {
+    if (cc_->can_send(0) && snd_nxt_ >= send_end()) {
       cc_->on_application_limited(now);
     }
   }
@@ -314,10 +317,10 @@ bool TcpConnection::send_one_segment(TimePoint now) {
   }
 
   // New data, gated by the peer's receive window.
-  if (snd_nxt_ < send_buffer_.size()) {
+  if (snd_nxt_ < send_end()) {
     if (snd_nxt_ - snd_una_ >= peer_rwnd_) return false;
     const std::size_t len = std::min<std::uint64_t>(
-        {config_.mss, send_buffer_.size() - snd_nxt_,
+        {config_.mss, send_end() - snd_nxt_,
          peer_rwnd_ - (snd_nxt_ - snd_una_)});
     send_segment_at(snd_nxt_, len, false, now);
     snd_nxt_ += len;
@@ -326,13 +329,29 @@ bool TcpConnection::send_one_segment(TimePoint now) {
   return false;
 }
 
+void TcpConnection::release_acked() {
+  // Every (re)transmission starts at or above snd_una_, so the bytes below
+  // it are never read again. Dropping them only once they are half the
+  // buffer keeps the move amortised O(1) per byte, and bounds the buffer by
+  // what is in flight or unsent instead of by everything ever written.
+  const std::uint64_t acked = std::min(snd_una_, send_end()) - send_base_;
+  if (acked < kMinAckedRelease || 2 * acked < send_buffer_.size()) return;
+  send_buffer_.erase(send_buffer_.begin(),
+                     send_buffer_.begin() + static_cast<std::ptrdiff_t>(acked));
+  send_base_ += acked;
+}
+
 void TcpConnection::send_segment_at(std::uint64_t offset, std::size_t len,
                                     bool is_retx, TimePoint now) {
+  LL_CHECK(offset >= send_base_ && offset + len <= send_end())
+      << "segment [" << offset << ", " << offset + len
+      << ") outside the send buffer [" << send_base_ << ", " << send_end()
+      << ")";
   TcpSegment seg = make_base_segment();
   seg.seq = offset;
-  seg.payload.assign(
-      send_buffer_.begin() + static_cast<std::ptrdiff_t>(offset),
-      send_buffer_.begin() + static_cast<std::ptrdiff_t>(offset + len));
+  const auto first =
+      send_buffer_.begin() + static_cast<std::ptrdiff_t>(offset - send_base_);
+  seg.payload.assign(first, first + static_cast<std::ptrdiff_t>(len));
   if (fin_queued_ && offset + len - 1 == fin_offset_) seg.fin = true;
   // Piggyback SACK state for the peer.
   seg.sack = build_sack_blocks();
@@ -495,6 +514,7 @@ void TcpConnection::process_ack(const TcpSegment& seg, TimePoint now) {
     snd_una_ = seg.ack;
     if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;  // post-RTO late ACK
     if (retx_next_ < snd_una_) retx_next_ = snd_una_;
+    release_acked();
     dupack_count_ = 0;
     consecutive_rto_ = 0;
     probe_count_ = 0;

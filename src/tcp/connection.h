@@ -105,8 +105,11 @@ class TcpConnection : public obs::Sampleable {
   std::uint64_t delivered_app_bytes() const { return app_delivered_; }
   // Bytes written by the app but not yet transmitted (backpressure signal).
   std::size_t send_backlog() const {
-    return send_buffer_.size() - static_cast<std::size_t>(snd_nxt_);
+    return static_cast<std::size_t>(send_end() - snd_nxt_);
   }
+  // Stream bytes still held for (re)transmission: unacknowledged plus not
+  // yet sent. Acknowledged bytes are released as the ACKs arrive.
+  std::size_t send_buffered() const { return send_buffer_.size(); }
 
   // Push buffered app data out (call after write()).
   void flush() { try_send(); }
@@ -143,6 +146,11 @@ class TcpConnection : public obs::Sampleable {
 
   void try_send();
   bool send_one_segment(TimePoint now);
+  // One past the last stream offset written (TLS, app data, FIN byte).
+  std::uint64_t send_end() const { return send_base_ + send_buffer_.size(); }
+  // Drops the acknowledged bytes at the front of send_buffer_ once they
+  // make up half of it.
+  void release_acked();
   void send_segment_at(std::uint64_t offset, std::size_t len, bool is_retx,
                        TimePoint now);
   void send_pure_ack(bool immediate_dsack = false,
@@ -204,7 +212,10 @@ class TcpConnection : public obs::Sampleable {
   TcpStats stats_;
 
   // --- Send side ---
-  Bytes send_buffer_;  // logical stream: TLS bytes then app bytes (+fin byte)
+  // Logical stream (TLS bytes then app bytes, +fin byte) from offset
+  // send_base_ on; the acknowledged bytes below it are gone.
+  Bytes send_buffer_;
+  std::uint64_t send_base_ = 0;
   std::uint64_t snd_una_ = 0;
   std::uint64_t snd_nxt_ = 0;
   bool fin_queued_ = false;

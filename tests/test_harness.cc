@@ -1,13 +1,21 @@
 // Unit/integration tests: testbed topology, the paired comparison runner
-// (statistics discipline), heatmap rendering, and the fairness runner.
+// (statistics discipline), the per-kind cell conventions (artifact names,
+// run:start fields, metric keys), heatmap rendering, and the fairness
+// runner.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "harness/compare.h"
 #include "harness/fairness.h"
+#include "harness/perf.h"
 #include "harness/report.h"
 #include "harness/testbed.h"
+#include "workload/scenario.h"
 
 namespace longlook::harness {
 namespace {
@@ -112,6 +120,197 @@ TEST(Compare, QuicPairWithIdenticalConfigsInsignificant) {
   // Same protocol, same config: only ambient noise separates the samples.
   EXPECT_FALSE(cell.significant);
   EXPECT_LT(std::abs(cell.pct_diff), 10.0);
+}
+
+// --- Cell-kind conventions ---------------------------------------------------
+//
+// The three paired-cell kinds (page load, QUIC pair, scenario) differ only
+// in what they name and fold: artifact suffixes, metric prefixes, run:start
+// fields and the scn_* totals. Per-cell metrics land in every bench's
+// deterministic section, so these keys are part of the baselines.
+
+namespace fs = std::filesystem;
+
+fs::path fresh_dir(const std::string& name) {
+  const fs::path dir = fs::temp_directory_path() / name;
+  fs::remove_all(dir);
+  return dir;
+}
+
+// Artifact file name -> contents.
+std::map<std::string, std::string> read_artifacts(const fs::path& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    out[entry.path().filename().string()] = text.str();
+  }
+  return out;
+}
+
+// An artifact's first record, which must be its run:start.
+std::string run_start_line(const std::string& artifact) {
+  const std::string line = artifact.substr(0, artifact.find('\n'));
+  EXPECT_NE(line.find("\"ev\":\"run:start\""), std::string::npos) << line;
+  return line;
+}
+
+// One `c<id>_<label>_r<round>_<side>.jsonl` artifact per (round, side), and
+// nothing else.
+void expect_artifact_names(const std::map<std::string, std::string>& files,
+                           const std::string& label, int rounds,
+                           const std::vector<std::string>& sides) {
+  const std::string infix = "_" + label + "_";
+  const std::string ext = ".jsonl";
+  std::set<std::string> got;
+  for (const auto& [name, content] : files) {
+    const std::size_t at = name.find(infix);
+    ASSERT_NE(at, std::string::npos) << name;
+    ASSERT_TRUE(name.ends_with(ext)) << name;
+    ASSERT_GT(at, 1u) << name;
+    EXPECT_EQ(name[0], 'c') << name;
+    EXPECT_EQ(name.find_first_not_of("0123456789", 1), at) << name;
+    const std::size_t tail = at + infix.size();
+    got.insert(name.substr(tail, name.size() - ext.size() - tail));
+  }
+  std::set<std::string> want;
+  for (int r = 0; r < rounds; ++r) {
+    for (const std::string& side : sides) {
+      want.insert("r" + std::to_string(r) + "_" + side);
+    }
+  }
+  EXPECT_EQ(got, want);
+}
+
+// Every counter and histogram key starts with one of `prefixes`, and every
+// prefix folded at least its per-run totals.
+void expect_metric_prefixes(const obs::MetricsRegistry& m,
+                            const std::vector<std::string>& prefixes) {
+  auto prefixed = [&](const std::string& key) {
+    for (const std::string& p : prefixes) {
+      if (key.rfind(p, 0) == 0) return true;
+    }
+    return false;
+  };
+  for (const auto& [key, value] : m.counters()) {
+    EXPECT_TRUE(prefixed(key)) << key;
+  }
+  for (const auto& [key, hist] : m.histograms()) {
+    EXPECT_TRUE(prefixed(key)) << key;
+  }
+  for (const std::string& p : prefixes) {
+    EXPECT_GT(m.counter(p + "runs"), 0u) << p;
+    EXPECT_GT(m.histogram(p + "plt_us").count(), 0u) << p;
+  }
+}
+
+bool has_scenario_keys(const obs::MetricsRegistry& m) {
+  for (const auto& [key, value] : m.counters()) {
+    if (key.find("scn_") != std::string::npos) return true;
+  }
+  return false;
+}
+
+Scenario cell_kind_scenario() {
+  Scenario s;
+  s.rate_bps = 10'000'000;
+  s.seed = 21;
+  return s;
+}
+
+CompareOptions cell_kind_opts(const fs::path& dir, const std::string& label) {
+  CompareOptions opts;
+  opts.rounds = 2;
+  opts.trace_dir = dir.string();
+  opts.trace_label = label;
+  return opts;
+}
+
+TEST(CellKinds, PairCellWritesAAndBArtifactsAndFoldsQuicAB) {
+  const fs::path dir = fresh_dir("ll_cell_kind_pair");
+  const CompareOptions a = cell_kind_opts(dir, "pair");
+  CompareOptions b = a;
+  b.warm_zero_rtt = false;
+  const CellResult cell =
+      compare_quic_pair(cell_kind_scenario(), {3, 5000}, a, b);
+  ASSERT_TRUE(cell.all_complete);
+  EXPECT_EQ(cell.quic_plt_s.size(), 2u);
+  EXPECT_EQ(cell.tcp_plt_s.size(), 2u);
+
+  const auto files = read_artifacts(dir);
+  expect_artifact_names(files, "pair", 2, {"a", "b"});
+  for (const auto& [name, content] : files) {
+    const std::string start = run_start_line(content);
+    EXPECT_NE(start.find("\"proto\":\"quic\""), std::string::npos) << name;
+    EXPECT_NE(start.find("\"objects\":3,\"object_bytes\":5000"),
+              std::string::npos)
+        << name;
+    EXPECT_EQ(start.find("perf_scenario"), std::string::npos) << name;
+  }
+  expect_metric_prefixes(cell.metrics, {"quic_a.", "quic_b."});
+  EXPECT_EQ(cell.metrics.counter("quic_a.runs"), 2u);
+  EXPECT_EQ(cell.metrics.counter("quic_b.runs"), 2u);
+  EXPECT_FALSE(has_scenario_keys(cell.metrics));
+  // b skipped its warm fetch: every b round pays the full handshake.
+  EXPECT_GT(cell.metrics.counter("quic_b.handshake_rtts"),
+            cell.metrics.counter("quic_a.handshake_rtts"));
+  fs::remove_all(dir);
+}
+
+TEST(CellKinds, ScenarioCellWritesQuicTcpArtifactsAndFoldsScenarioTotals) {
+  const fs::path dir = fresh_dir("ll_cell_kind_scenario");
+  const workload::ParseResult parsed =
+      workload::parse_scenario("*2:0:-:64:2048;*1:4:0:0:1000;");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const workload::ScenarioSpec& spec = *parsed.spec;
+  const CellResult cell = compare_scenario(
+      cell_kind_scenario(), spec, cell_kind_opts(dir, "scn"));
+  ASSERT_TRUE(cell.all_complete);
+
+  const auto files = read_artifacts(dir);
+  expect_artifact_names(files, "scn", 2, {"quic", "tcp"});
+  for (const auto& [name, content] : files) {
+    const std::string start = run_start_line(content);
+    EXPECT_NE(start.find("\"objects\":3,\"object_bytes\":5096,"
+                         "\"perf_scenario\":\"" + spec.format() + "\""),
+              std::string::npos)
+        << start;
+  }
+  expect_metric_prefixes(cell.metrics, {"quic.", "tcp."});
+  for (const std::string p : {"quic.", "tcp."}) {
+    EXPECT_EQ(cell.metrics.counter(p + "scn_transactions"), 2u * 3u) << p;
+    EXPECT_EQ(cell.metrics.counter(p + "scn_upload_bytes"), 2u * 128u) << p;
+    EXPECT_EQ(cell.metrics.counter(p + "scn_download_bytes"), 2u * 5096u)
+        << p;
+  }
+  fs::remove_all(dir);
+}
+
+TEST(CellKinds, PageLoadCellCarriesWorkloadFieldsAndNoScenarioKeys) {
+  const fs::path dir = fresh_dir("ll_cell_kind_page");
+  const CellResult cell = compare_plt(cell_kind_scenario(), {3, 5000},
+                                      cell_kind_opts(dir, "page"));
+  ASSERT_TRUE(cell.all_complete);
+
+  const auto files = read_artifacts(dir);
+  expect_artifact_names(files, "page", 2, {"quic", "tcp"});
+  for (const auto& [name, content] : files) {
+    const std::string start = run_start_line(content);
+    const bool quic = name.find("_quic.jsonl") != std::string::npos;
+    EXPECT_NE(start.find(quic ? "\"proto\":\"quic\"" : "\"proto\":\"tcp\""),
+              std::string::npos)
+        << name;
+    // The Workload's shape, not the page's totals (3 transactions, 15000
+    // bytes), and no DSL string.
+    EXPECT_NE(start.find("\"objects\":3,\"object_bytes\":5000}"),
+              std::string::npos)
+        << start;
+    EXPECT_EQ(start.find("perf_scenario"), std::string::npos) << name;
+  }
+  expect_metric_prefixes(cell.metrics, {"quic.", "tcp."});
+  EXPECT_FALSE(has_scenario_keys(cell.metrics));
+  fs::remove_all(dir);
 }
 
 TEST(Report, HeatmapRendersSignificanceMarkers) {

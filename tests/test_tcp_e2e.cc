@@ -101,6 +101,41 @@ TEST(TcpE2E, RecoversFromLoss) {
   EXPECT_GT(run.server_stats.retransmitted_segments, 0u);
 }
 
+TEST(TcpE2E, SendBufferHoldsOnlyUnacknowledgedBytes) {
+  // The server produces a large body against a ~2 MB write backlog and
+  // acknowledged bytes leave the send buffer, so the buffer stays far below
+  // the object size even with retransmissions, and empties at the end.
+  Scenario s;
+  s.rate_bps = 100'000'000;
+  s.loss_rate = 0.01;
+  constexpr std::size_t kBytes = 20 * 1024 * 1024;
+  Testbed tb(s);
+  http::TcpObjectServer server(tb.sim(), tb.server_host(), harness::kTcpPort,
+                               tcp::TcpConfig{});
+  http::H2ClientSession session(tb.sim(), tb.client_host(),
+                                tb.server_host().address(), harness::kTcpPort,
+                                tcp::TcpConfig{});
+  http::PageLoader loader(tb.sim(), session, {1, kBytes});
+  loader.start();
+  std::size_t peak = 0;
+  const bool done = tb.run_until(
+      [&] {
+        if (const auto* sc = server.server().latest_connection()) {
+          peak = std::max(peak, sc->send_buffered());
+        }
+        return loader.finished();
+      },
+      seconds(120));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(loader.result().objects[0].bytes_received, kBytes);
+  const auto* sc = server.server().latest_connection();
+  ASSERT_NE(sc, nullptr);
+  EXPECT_GT(sc->stats().retransmitted_segments, 0u);
+  EXPECT_GT(peak, 0u);
+  EXPECT_LT(peak, kBytes / 2);
+  EXPECT_LT(sc->send_buffered(), 64u * 1024);
+}
+
 TEST(TcpE2E, MultipleObjectsShareOneConnection) {
   Scenario s;
   s.rate_bps = 20'000'000;

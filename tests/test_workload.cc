@@ -3,11 +3,14 @@
 // property, the PRF request handling in ObjectService (including the
 // exactly-once response regression), and the ScenarioRunner executor over
 // both real stacks and a synchronous fake session (completion-inside-
-// callback reentrancy).
+// callback reentrancy), and the page-load/page-entry driver equivalence the
+// harness run path rests on.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/perf.h"
@@ -15,6 +18,7 @@
 #include "http/object_service.h"
 #include "http/page_loader.h"
 #include "http/quic_session.h"
+#include "obs/profiler.h"
 #include "util/rng.h"
 #include "workload/executor.h"
 #include "workload/scenario.h"
@@ -443,6 +447,127 @@ TEST(HarnessScenario, QuicAndTcpRunsComplete) {
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->transactions, 3u);
   EXPECT_EQ(t->download_bytes, 2u * 2048u + 1000u);
+}
+
+// --- Page loads as page entries --------------------------------------------
+
+// Simulator work of one run, under the profiler's counter names.
+using WorkCounts = std::map<std::string, std::uint64_t>;
+
+WorkCounts profiled_work(const obs::Profiler& prof) {
+  const obs::ProfilerSnapshot snap = prof.snapshot();
+  WorkCounts out;
+  for (const char* key :
+       {"sim_events", "timer_ops", "sim_event_pool_slots",
+        "sim_callback_heap", "packets_forwarded", "bytes_moved"}) {
+    out[key] = snap.counter(key);
+  }
+  return out;
+}
+
+// The reference: `page` fetched by http::PageLoader over a hand-built
+// testbed. Returns its PLT and work, read off the simulator and links.
+std::pair<double, WorkCounts> page_loader_run(harness::Testbed& tb,
+                                              http::ClientSession& session,
+                                              const harness::Workload& page) {
+  http::PageLoader loader(tb.sim(), session,
+                          {page.object_count, page.object_bytes});
+  loader.start();
+  EXPECT_TRUE(tb.run_until([&] { return loader.finished(); }, seconds(600)));
+  const LinkStats& up = tb.uplink().stats();
+  const LinkStats& down = tb.downlink().stats();
+  return {to_seconds(loader.result().plt),
+          {{"sim_events", tb.sim().dispatched_events()},
+           {"timer_ops", tb.sim().timer_ops()},
+           {"sim_event_pool_slots", tb.sim().event_pool_slots()},
+           {"sim_callback_heap", tb.sim().callback_heap_allocs()},
+           {"packets_forwarded", up.delivered + down.delivered},
+           {"bytes_moved", static_cast<std::uint64_t>(up.bytes_delivered +
+                                                      down.bytes_delivered)}}};
+}
+
+// A harness page load, the same page as a `page=NxB` scenario entry, and
+// the http::PageLoader reference are one run: identical PLT and identical
+// simulator work, on clean and lossy paths, for pages narrower and wider
+// than the stream limit.
+TEST(HarnessScenario, PageLoadMatchesPageEntryRun) {
+  struct Case {
+    double loss = 0;
+    std::size_t objects = 0;
+    std::size_t bytes = 0;
+  };
+  const Case cases[] = {{0.0, 1, 5 * 1024},    {0.0, 10, 100 * 1024},
+                        {0.0, 200, 10 * 1024}, {0.01, 1, 5 * 1024},
+                        {0.01, 10, 100 * 1024}, {0.01, 200, 10 * 1024}};
+  for (const Case& c : cases) {
+    harness::Scenario net;
+    net.rate_bps = 10'000'000;
+    net.loss_rate = c.loss;
+    net.seed = 31;
+    const std::string where = "loss=" + std::to_string(c.loss) + " page=" +
+                              std::to_string(c.objects) + "x" +
+                              std::to_string(c.bytes);
+    const ParseResult r =
+        parse_scenario("*1:0:-:page=" + std::to_string(c.objects) + "x" +
+                       std::to_string(c.bytes) + ";");
+    ASSERT_TRUE(r.ok()) << r.error;
+    const harness::Workload page{c.objects, c.bytes};
+
+    harness::CompareOptions opts;
+    quic::TokenCache warm;
+    (void)harness::run_quic_page_load(net, {1, 1024}, opts, warm);
+
+    // QUIC, every run from the same post-warm token cache.
+    std::pair<double, WorkCounts> q_ref;
+    {
+      quic::TokenCache tokens = warm;
+      harness::Testbed tb(net);
+      http::QuicObjectServer server(tb.sim(), tb.server_host(),
+                                    harness::kQuicPort, opts.quic);
+      http::QuicClientSession session(tb.sim(), tb.client_host(),
+                                      tb.server_host().address(),
+                                      harness::kQuicPort, opts.quic, tokens);
+      q_ref = page_loader_run(tb, session, page);
+    }
+    obs::Profiler load_prof;
+    obs::Profiler entry_prof;
+    opts.profiler = &load_prof;
+    quic::TokenCache load_tokens = warm;
+    const auto q_load =
+        harness::run_quic_page_load(net, page, opts, load_tokens);
+    opts.profiler = &entry_prof;
+    quic::TokenCache entry_tokens = warm;
+    const auto q_entry =
+        harness::run_quic_scenario(net, *r.spec, opts, entry_tokens);
+    ASSERT_TRUE(q_load && q_entry) << where;
+    EXPECT_EQ(*q_load, q_ref.first) << where;
+    EXPECT_EQ(q_entry->duration_s, q_ref.first) << where;
+    EXPECT_EQ(profiled_work(load_prof), q_ref.second) << where;
+    EXPECT_EQ(profiled_work(entry_prof), q_ref.second) << where;
+
+    // TCP.
+    std::pair<double, WorkCounts> t_ref;
+    {
+      harness::Testbed tb(net);
+      http::TcpObjectServer server(tb.sim(), tb.server_host(),
+                                   harness::kTcpPort, opts.tcp);
+      http::H2ClientSession session(tb.sim(), tb.client_host(),
+                                    tb.server_host().address(),
+                                    harness::kTcpPort, opts.tcp);
+      t_ref = page_loader_run(tb, session, page);
+    }
+    obs::Profiler tcp_load_prof;
+    obs::Profiler tcp_entry_prof;
+    opts.profiler = &tcp_load_prof;
+    const auto t_load = harness::run_tcp_page_load(net, page, opts);
+    opts.profiler = &tcp_entry_prof;
+    const auto t_entry = harness::run_tcp_scenario(net, *r.spec, opts);
+    ASSERT_TRUE(t_load && t_entry) << where;
+    EXPECT_EQ(*t_load, t_ref.first) << where;
+    EXPECT_EQ(t_entry->duration_s, t_ref.first) << where;
+    EXPECT_EQ(profiled_work(tcp_load_prof), t_ref.second) << where;
+    EXPECT_EQ(profiled_work(tcp_entry_prof), t_ref.second) << where;
+  }
 }
 
 TEST(HarnessScenario, CompareCellIsWorkerCountIndependent) {
