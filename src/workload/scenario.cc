@@ -9,8 +9,9 @@ namespace longlook::workload {
 namespace {
 
 // Scenario byte counts are capped at 1 TB per field: large enough for any
-// paper-scale workload, small enough that sums across entries and repeats
-// cannot overflow the uint64 totals.
+// paper-scale workload. The caps bound one transaction, not the repeat x
+// page x entry products, so validate() also rejects a scenario whose uint64
+// byte totals would wrap.
 constexpr std::uint64_t kMaxBytesField = 1'000'000'000'000ULL;
 constexpr std::uint64_t kMaxRepeat = 1'000'000ULL;
 constexpr std::size_t kMaxEntries = 10'000;
@@ -234,6 +235,28 @@ class Parser {
         if (stamp[at] != -1) break;  // earlier walk proved this tail acyclic
         stamp[at] = static_cast<int>(i);
         at = by_id[*spec.streams[at].start_after];
+      }
+    }
+    // The totals accessors sum repeat x bytes over entries in uint64; a
+    // scenario they cannot represent is an error, not a silent wrap.
+    std::uint64_t up_total = 0;
+    std::uint64_t down_total = 0;
+    for (std::size_t i = 0; i < spec.streams.size(); ++i) {
+      const StreamSpec& s = spec.streams[i];
+      std::uint64_t up = s.is_page() ? 0 : s.upload_bytes;
+      std::uint64_t down =
+          s.is_page() ? static_cast<std::uint64_t>(s.page->object_count) *
+                            s.page->object_bytes
+                      : s.download_bytes;
+      if (__builtin_mul_overflow(s.repeat, up, &up) ||
+          __builtin_mul_overflow(s.repeat, down, &down) ||
+          __builtin_add_overflow(up_total, up, &up_total) ||
+          __builtin_add_overflow(down_total, down, &down_total)) {
+        error(entry_cols_[i], "byte totals overflow at stream " +
+                                  std::to_string(s.stream_id) +
+                                  " (repeat x bytes summed over entries "
+                                  "must fit in 64 bits)");
+        return false;
       }
     }
     return true;

@@ -13,12 +13,7 @@ ctest instead of failing open:
     and the post-fix versions are clean;
   * an unknown rule tag or a reason-less suppression is a hard error
     (exit 2), never a silent no-op;
-  * the --json report is valid and agrees with the text output;
-  * `--frontend clang` degrades to a loud skip (exit 0) when libclang is
-    unavailable.
-
-All counts are pinned against `--frontend internal` so the numbers are
-reproducible on machines without libclang.
+  * the --json report is valid and agrees with the text output.
 
 Usage: test_ast_selftest.py   (exit 0 pass, 1 fail)
 """
@@ -35,7 +30,6 @@ sys.path.insert(0, str(REPO / "tools"))
 
 from analysis import AnalysisError  # noqa: E402
 from analysis.ast import analyze_paths_ast, main  # noqa: E402
-from analysis.ast.clang_frontend import clang_available  # noqa: E402
 
 FIXTURES = REPO / "tools" / "analysis" / "ast" / "fixtures"
 
@@ -76,7 +70,7 @@ def main_selftest() -> int:
     failures = []
 
     # --- bad fixtures: exact per-rule counts --------------------------------
-    result = analyze_paths_ast([str(FIXTURES / "bad")], frontend="internal")
+    result = analyze_paths_ast([str(FIXTURES / "bad")])
     counts = {}
     for f in result.findings:
         counts[f.rule] = counts.get(f.rule, 0) + 1
@@ -92,12 +86,12 @@ def main_selftest() -> int:
             f"bad fixtures: {len(result.findings)} total findings, expected "
             f"exactly {total}; extra rules fired: "
             f"{sorted(set(counts) - set(EXPECTED_BAD))}")
-    code, _, _ = run_main(["--frontend", "internal", str(FIXTURES / "bad")])
+    code, _, _ = run_main([str(FIXTURES / "bad")])
     if code != 1:
         failures.append(f"bad fixtures: expected exit 1, got {code}")
 
     # --- clean fixtures: spotless, suppression scopes exercised -------------
-    result = analyze_paths_ast([str(FIXTURES / "clean")], frontend="internal")
+    result = analyze_paths_ast([str(FIXTURES / "clean")])
     if result.findings:
         failures.append(
             "clean fixtures: expected no findings, got:\n  " +
@@ -109,8 +103,7 @@ def main_selftest() -> int:
             f"macro-jump, and end-of-file scopes), got {result.suppressed}")
 
     # --- historical-bug reconstructions -------------------------------------
-    result = analyze_paths_ast(
-        [str(FIXTURES / "regression" / "bug")], frontend="internal")
+    result = analyze_paths_ast([str(FIXTURES / "regression" / "bug")])
     if len(result.findings) != len(EXPECTED_REGRESSIONS):
         failures.append(
             f"regression/bug: {len(result.findings)} findings, expected "
@@ -123,8 +116,7 @@ def main_selftest() -> int:
             failures.append(
                 f"regression/bug: expected rule '{rule}' to fire exactly "
                 f"once on {fragment}, got {len(hits)}")
-    result = analyze_paths_ast(
-        [str(FIXTURES / "regression" / "fixed")], frontend="internal")
+    result = analyze_paths_ast([str(FIXTURES / "regression" / "fixed")])
     if result.findings or result.suppressed:
         failures.append(
             f"regression/fixed: expected 0 findings / 0 suppressed after "
@@ -138,13 +130,13 @@ def main_selftest() -> int:
     ]:
         path = FIXTURES / "error" / fixture
         try:
-            analyze_paths_ast([str(path)], frontend="internal")
+            analyze_paths_ast([str(path)])
             failures.append(f"{fixture}: expected AnalysisError, got none")
         except AnalysisError as e:
             if fragment not in str(e):
                 failures.append(
                     f"{fixture}: error message missing {fragment!r}: {e}")
-        code, _, err = run_main(["--frontend", "internal", str(path)])
+        code, _, err = run_main([str(path)])
         if code != 2:
             failures.append(f"{fixture}: expected exit 2 via CLI, got {code}")
 
@@ -153,8 +145,7 @@ def main_selftest() -> int:
     # layers share one suppression namespace); the reverse is covered by
     # the token selftest.
     try:
-        analyze_paths_ast(
-            [str(FIXTURES / "clean")], frontend="internal")
+        analyze_paths_ast([str(FIXTURES / "clean")])
     except AnalysisError as e:
         failures.append(f"clean fixtures raised unexpectedly: {e}")
 
@@ -162,22 +153,18 @@ def main_selftest() -> int:
     with tempfile.TemporaryDirectory() as td:
         report = Path(td) / "report.json"
         code, out, _ = run_main(
-            ["--frontend", "internal", "--json", str(report),
-             str(FIXTURES / "bad")])
+            ["--json", str(report), str(FIXTURES / "bad")])
         data = json.loads(report.read_text())
         if data.get("version") != 1:
             failures.append(f"json report: bad version: {data.get('version')}")
         if data.get("layer") != "ast":
             failures.append(f"json report: bad layer: {data.get('layer')}")
-        if data.get("frontend") != "internal":
-            failures.append(
-                f"json report: bad frontend: {data.get('frontend')}")
         if len(data.get("findings", [])) != total:
             failures.append(
                 f"json report: {len(data.get('findings', []))} findings, "
                 f"expected {total}")
         text_lines = [ln for ln in out.splitlines()
-                      if ln.strip() and not ln.startswith("ast-analysis[")]
+                      if ln.strip() and not ln.startswith("ast-analysis:")]
         if len(text_lines) != total:
             failures.append(
                 f"text output: {len(text_lines)} finding lines, "
@@ -187,46 +174,6 @@ def main_selftest() -> int:
                 if key not in f:
                     failures.append(f"json report: finding missing '{key}'")
                     break
-
-    # --- clang frontend: parity when present, loud skip when absent ---------
-    ok, detail = clang_available()
-    code, out, err = run_main(
-        ["--frontend", "clang", str(FIXTURES / "clean")])
-    if ok:
-        if code != 0:
-            failures.append(
-                f"--frontend clang on clean fixtures: expected exit 0 with "
-                f"libclang present, got {code}")
-        # Full-statement differential: the clang frontend must reproduce
-        # the internal frontend's findings byte for byte across every
-        # fixture set, now that it builds real statement trees.
-        with tempfile.TemporaryDirectory() as td:
-            for sub in ("bad", "clean", "regression/bug",
-                        "regression/fixed"):
-                ri = Path(td) / "internal.json"
-                rc = Path(td) / "clang.json"
-                for fe, rp in (("internal", ri), ("clang", rc)):
-                    run_main(["--frontend", fe, "--json", str(rp),
-                              str(FIXTURES / sub)])
-                di = json.loads(ri.read_text())
-                dc = json.loads(rc.read_text())
-                if di["findings"] != dc["findings"]:
-                    failures.append(
-                        f"parity[{sub}]: clang findings differ from "
-                        f"internal:\n  internal: {di['findings']}\n"
-                        f"  clang:    {dc['findings']}")
-    else:
-        if code != 0:
-            failures.append(
-                f"--frontend clang without libclang: expected skip exit 0, "
-                f"got {code}")
-        if "SKIP" not in out + err:
-            failures.append(
-                "--frontend clang without libclang: expected a loud SKIP "
-                "line in the output")
-        print(f"ast_selftest: NOTE frontend parity not exercised "
-              f"({detail}); the CI ast-analysis leg runs it with libclang",
-              file=sys.stderr)
 
     if failures:
         print("ast_selftest: FAIL", file=sys.stderr)

@@ -18,19 +18,16 @@ ctest instead of failing open:
   * the --json report is valid, agrees with the text output, and carries
     the call-graph stats;
   * `--cache` replays an identical report on unchanged inputs and
-    invalidates on any content change;
-  * `--frontend clang` produces byte-identical findings to the internal
-    frontend when libclang is present, and degrades to a loud skip
-    (exit 0) when it is not.
-
-All counts are pinned against `--frontend internal` so the numbers are
-reproducible on machines without libclang.
+    invalidates on any content change, including an edit to the
+    analyzer's own code.
 
 Usage: test_ipa_selftest.py   (exit 0 pass, 1 fail)
 """
 
 import io
 import json
+import shutil
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -41,7 +38,6 @@ sys.path.insert(0, str(REPO / "tools"))
 
 from analysis import AnalysisError  # noqa: E402
 from analysis.ipa import analyze_paths_ipa, main  # noqa: E402
-from analysis.ast.clang_frontend import clang_available  # noqa: E402
 
 FIXTURES = REPO / "tools" / "analysis" / "ipa" / "fixtures"
 
@@ -82,7 +78,7 @@ def main_selftest() -> int:
     failures = []
 
     # --- bad fixtures: exact per-rule counts --------------------------------
-    result = analyze_paths_ipa([str(FIXTURES / "bad")], frontend="internal")
+    result = analyze_paths_ipa([str(FIXTURES / "bad")])
     counts = {}
     for f in result.findings:
         counts[f.rule] = counts.get(f.rule, 0) + 1
@@ -98,12 +94,12 @@ def main_selftest() -> int:
             f"bad fixtures: {len(result.findings)} total findings, expected "
             f"exactly {total}; extra rules fired: "
             f"{sorted(set(counts) - set(EXPECTED_BAD))}")
-    code, _, _ = run_main(["--frontend", "internal", str(FIXTURES / "bad")])
+    code, _, _ = run_main([str(FIXTURES / "bad")])
     if code != 1:
         failures.append(f"bad fixtures: expected exit 1, got {code}")
 
     # --- clean fixtures: spotless, per-rule suppression accounting ----------
-    result = analyze_paths_ipa([str(FIXTURES / "clean")], frontend="internal")
+    result = analyze_paths_ipa([str(FIXTURES / "clean")])
     if result.findings:
         failures.append(
             "clean fixtures: expected no findings, got:\n  " +
@@ -122,8 +118,7 @@ def main_selftest() -> int:
             f"clean fixtures: rule_elapsed missing rules {missing_elapsed}")
 
     # --- historical-bug reconstructions -------------------------------------
-    result = analyze_paths_ipa(
-        [str(FIXTURES / "regression" / "bug")], frontend="internal")
+    result = analyze_paths_ipa([str(FIXTURES / "regression" / "bug")])
     expected_total = sum(n for _, _, n in EXPECTED_REGRESSIONS)
     if len(result.findings) != expected_total:
         failures.append(
@@ -137,8 +132,7 @@ def main_selftest() -> int:
             failures.append(
                 f"regression/bug: expected rule '{rule}' to fire exactly "
                 f"{count} time(s) on {fragment}, got {len(hits)}")
-    result = analyze_paths_ipa(
-        [str(FIXTURES / "regression" / "fixed")], frontend="internal")
+    result = analyze_paths_ipa([str(FIXTURES / "regression" / "fixed")])
     if result.findings or result.suppressed:
         failures.append(
             f"regression/fixed: expected 0 findings / 0 suppressed after "
@@ -148,14 +142,14 @@ def main_selftest() -> int:
     # --- suppression misuse is a hard error ---------------------------------
     path = FIXTURES / "error" / "missing_reason.cc"
     try:
-        analyze_paths_ipa([str(path)], frontend="internal")
+        analyze_paths_ipa([str(path)])
         failures.append("missing_reason.cc: expected AnalysisError, got none")
     except AnalysisError as e:
         if "carries no reason" not in str(e):
             failures.append(
                 f"missing_reason.cc: error message missing "
                 f"'carries no reason': {e}")
-    code, _, _ = run_main(["--frontend", "internal", str(path)])
+    code, _, _ = run_main([str(path)])
     if code != 2:
         failures.append(
             f"missing_reason.cc: expected exit 2 via CLI, got {code}")
@@ -164,16 +158,12 @@ def main_selftest() -> int:
     with tempfile.TemporaryDirectory() as td:
         report = Path(td) / "report.json"
         code, out, _ = run_main(
-            ["--frontend", "internal", "--json", str(report),
-             str(FIXTURES / "bad")])
+            ["--json", str(report), str(FIXTURES / "bad")])
         data = json.loads(report.read_text())
         if data.get("version") != 1:
             failures.append(f"json report: bad version: {data.get('version')}")
         if data.get("layer") != "ipa":
             failures.append(f"json report: bad layer: {data.get('layer')}")
-        if data.get("frontend") != "internal":
-            failures.append(
-                f"json report: bad frontend: {data.get('frontend')}")
         if len(data.get("findings", [])) != total:
             failures.append(
                 f"json report: {len(data.get('findings', []))} findings, "
@@ -189,7 +179,7 @@ def main_selftest() -> int:
                 f"json report: rule_elapsed_seconds incomplete or "
                 f"negative: {elapsed}")
         text_lines = [ln for ln in out.splitlines()
-                      if ln.strip() and not ln.startswith("ipa-analysis[")]
+                      if ln.strip() and not ln.startswith("ipa-analysis:")]
         if len(text_lines) != total:
             failures.append(
                 f"text output: {len(text_lines)} finding lines, "
@@ -204,12 +194,12 @@ def main_selftest() -> int:
         cache = Path(td) / "summary.cache.json"
         r1 = Path(td) / "r1.json"
         r2 = Path(td) / "r2.json"
-        run_main(["--frontend", "internal", "--cache", str(cache),
+        run_main(["--cache", str(cache),
                   "--json", str(r1), str(FIXTURES / "bad")])
         if not cache.is_file():
             failures.append("cache: file not written on cold run")
         _, _, err2 = run_main(
-            ["--frontend", "internal", "--cache", str(cache),
+            ["--cache", str(cache),
              "--json", str(r2), str(FIXTURES / "bad")])
         if "cache hit" not in err2:
             failures.append("cache: warm run did not report a cache hit")
@@ -225,47 +215,46 @@ def main_selftest() -> int:
         stale["key"] = "0" * 64
         cache.write_text(json.dumps(stale))
         _, _, err3 = run_main(
-            ["--frontend", "internal", "--cache", str(cache),
+            ["--cache", str(cache),
              "--json", str(r2), str(FIXTURES / "bad")])
         if "cache hit" in err3:
             failures.append("cache: stale key still replayed")
 
-    # --- frontend parity: clang findings byte-identical to internal ---------
-    ok, detail = clang_available()
-    if ok:
-        with tempfile.TemporaryDirectory() as td:
-            ri = Path(td) / "internal.json"
-            rc = Path(td) / "clang.json"
-            for fe, rp in (("internal", ri), ("clang", rc)):
-                code, _, err = run_main(
-                    ["--frontend", fe, "--json", str(rp),
-                     str(FIXTURES / "bad")])
-                if code != 1:
-                    failures.append(
-                        f"parity: --frontend {fe} on bad fixtures exited "
-                        f"{code}, expected 1\n{err}")
-            if ri.is_file() and rc.is_file():
-                di = json.loads(ri.read_text())
-                dc = json.loads(rc.read_text())
-                if di["findings"] != dc["findings"]:
-                    failures.append(
-                        "parity: clang findings differ from internal:\n"
-                        f"  internal: {di['findings']}\n"
-                        f"  clang:    {dc['findings']}")
-    else:
-        code, out, err = run_main(
-            ["--frontend", "clang", str(FIXTURES / "clean")])
-        if code != 0:
+    # --- cache: an edit to the analyzer itself invalidates ------------------
+    # Run a private copy of tools/analysis warm, then disable one rule in
+    # the copy: the rerun must rebuild (and lose that rule's findings)
+    # rather than replay the report the unedited analyzer wrote.
+    with tempfile.TemporaryDirectory() as td:
+        copy = Path(td) / "tools" / "analysis"
+        shutil.copytree(REPO / "tools" / "analysis", copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        cache = Path(td) / "summary.cache.json"
+        cmd = [sys.executable, str(copy / "ipa" / "run_ipa_analysis.py"),
+               "--cache", str(cache), str(copy / "ipa" / "fixtures" / "bad")]
+
+        def run_copy():
+            p = subprocess.run(cmd, capture_output=True, text=True,
+                               check=False)
+            return p.stdout.count("[pool-use-after-release]"), p.stderr
+
+        run_copy()
+        _, err = run_copy()
+        if "cache hit" not in err:
+            failures.append("cache: unedited analyzer copy missed its cache")
+        rules_py = copy / "ipa" / "rules.py"
+        head = ("def _check_pool_uar(program: Program) -> List[IPAFinding]:\n"
+                "    out: List[IPAFinding] = []\n")
+        src = rules_py.read_text(encoding="utf-8")
+        if head not in src:
+            failures.append("cache: _check_pool_uar head not found to edit")
+        rules_py.write_text(src.replace(head, head + "    return out\n"),
+                            encoding="utf-8")
+        uar, err = run_copy()
+        if "cache hit" in err or uar != 0:
             failures.append(
-                f"--frontend clang without libclang: expected skip exit 0, "
-                f"got {code}")
-        if "SKIP" not in out + err:
-            failures.append(
-                "--frontend clang without libclang: expected a loud SKIP "
-                "line in the output")
-        print(f"ipa_selftest: NOTE frontend parity not exercised "
-              f"({detail}); the CI ast-analysis leg runs it with libclang",
-              file=sys.stderr)
+                f"cache: replayed a report after the analyzer changed "
+                f"({uar} pool-use-after-release finding(s) from a disabled "
+                f"rule)")
 
     if failures:
         print("ipa_selftest: FAIL", file=sys.stderr)

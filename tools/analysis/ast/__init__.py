@@ -7,17 +7,10 @@ what the token stream cannot express: statement-ordered dataflow inside
 function bodies (lambda escape, iterator kill/use, lock scopes, value flow
 through calls and returns).
 
-Two frontends share one IR (astmodel.TranslationUnit):
-
-  * `clang`    — libclang via clang.cindex, driven by the repo's exported
-                 compile_commands.json. Full-fidelity symbol tables
-                 (canonical types, cross-file class layouts). Optional:
-                 when libclang is missing the runner degrades loudly, it
-                 never fails.
-  * `internal` — a pure-Python structural parser (parser.py) built on
-                 tools/analysis/lexer.py. Always available; this is what
-                 the self-test pins so fixture counts are reproducible on
-                 machines without libclang.
+One frontend builds the IR (astmodel.TranslationUnit): a pure-Python
+structural parser (parser.py) on tools/analysis/lexer.py. It needs nothing
+beyond the Python standard library, so fixture counts reproduce on any
+machine.
 
 Entry point: tools/analysis/ast/run_ast_analysis.py (ctest `ast-analysis`,
 self-test `analysis-ast-selftest`).

@@ -1,12 +1,11 @@
 """Shared IR for the flow-sensitive analysis layer.
 
-Both frontends (parser.py, clang_frontend.py) produce this model. It is a
-CFG-lite: function bodies become ordered statement trees (Block/Stmt) whose
-leaves keep their raw token slices, so rules can walk control structure
-*and* still pattern-match expression tokens with the helpers the token
-layer already proved out. Symbol tables (classes, fields, function
-signatures) are separated out so the clang frontend can swap in
-full-fidelity versions without touching the statement walk.
+The parser (parser.py) produces this model. It is a CFG-lite: function
+bodies become ordered statement trees (Block/Stmt) whose leaves keep their
+raw token slices, so rules can walk control structure *and* still
+pattern-match expression tokens with the helpers the token layer already
+proved out. Symbol tables (classes, fields, function signatures) are kept
+apart from the statement trees.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ class FunctionInfo:
 
 @dataclass
 class SymbolTable:
-    """Type facts the rules consult; swappable per frontend.
+    """Type facts the rules consult.
 
     functions maps an *unqualified* name to every known signature; rules
     only act when the name resolves unambiguously (a single signature or
@@ -98,7 +97,6 @@ class SymbolTable:
     functions: Dict[str, List[FunctionInfo]] = field(default_factory=dict)
     # Names (fields or file-level locals) known to be std::unordered_*.
     unordered_names: frozenset = frozenset()
-    source: str = "internal"   # which frontend built the table
 
 
 @dataclass
@@ -107,7 +105,6 @@ class TranslationUnit:
     tokens: List[Token]
     functions: List[FunctionInfo]   # definitions with bodies, in file order
     symbols: SymbolTable
-    frontend: str = "internal"
 
 
 def is_narrow_int(type_text: str) -> bool:

@@ -1,20 +1,13 @@
-"""AST-layer engine: frontend selection, suppressions, reporting.
+"""AST-layer engine: parsing, suppressions, reporting.
 
 Shares the token engine's finding format, `--json` report shape, exit
 codes (0 clean, 1 findings, 2 config error), `ll-analysis: allow(...)`
 suppression syntax, and allowlist format — a suppression written for a
 token rule and one written for an AST rule are indistinguishable to the
 reader, and either engine validates rule names against the union of both
-layers' rules so cross-layer comments never hard-error.
-
-Frontend selection (`--frontend auto|internal|clang`):
-
-  internal  pure-Python parser; always available; what the selftest pins.
-  clang     libclang symbol augmentation; requested explicitly. When
-            libclang is missing the CLI prints a loud skip and exits 0
-            (mirroring tools/run_clang_tidy.sh) so a CI leg that installs
-            libclang conditionally stays green either way.
-  auto      clang when loadable, else internal with a one-line warning.
+layers' rules so cross-layer comments never hard-error. Every file is
+parsed by the pure-Python parser (parser.py), so results never depend on
+what the host has installed.
 """
 
 from __future__ import annotations
@@ -31,11 +24,8 @@ from ..engine import (
     _parse_suppressions, check_stale_allowlist, repo_root,
 )
 from ..lexer import tokenize
-from . import clang_frontend
-from . import parser as internal_parser
+from . import parser
 from .rules import AST_RULES, AST_RULES_BY_NAME, ASTRule
-
-FRONTENDS = ("auto", "internal", "clang")
 
 
 def known_rule_names() -> Set[str]:
@@ -45,23 +35,8 @@ def known_rule_names() -> Set[str]:
     return _known_rule_names() | set(AST_RULES_BY_NAME)
 
 
-def _load_file_tu(fs_path: Path, rel: str, root: Path, frontend: str,
-                  warnings: List[str]):
-    if frontend == "clang" or frontend == "auto":
-        ok, _detail = clang_frontend.clang_available()
-        if ok or frontend == "clang":
-            return clang_frontend.load_tu(
-                fs_path, rel, root, warn=warnings.append)
-        if not warnings:  # one-line note, not per-file spam
-            warnings.append(
-                f"clang frontend unavailable ({_detail}); "
-                "using internal frontend")
-    return internal_parser.load_tu(fs_path, rel)
-
-
 def analyze_file_ast(
-    fs_path: Path, rel: str, rules: Sequence[ASTRule], root: Path,
-    frontend: str, warnings: List[str],
+    fs_path: Path, rel: str, rules: Sequence[ASTRule],
     suppressed_by_rule: Optional[Dict[str, int]] = None,
     rule_elapsed: Optional[Dict[str, float]] = None,
 ) -> Tuple[List[Finding], int]:
@@ -70,7 +45,7 @@ def analyze_file_ast(
     tokens, comments = tokenize(text)
     suppressions = _parse_suppressions(
         comments, tokens, rel, known_rule_names())
-    tu = _load_file_tu(fs_path, rel, root, frontend, warnings)
+    tu = parser.load_tu(fs_path, rel)
     findings: List[Finding] = []
     suppressed = 0
     for rule in rules:
@@ -100,16 +75,10 @@ def analyze_paths_ast(
     rules: Optional[Sequence[ASTRule]] = None,
     root: Optional[Path] = None,
     allowlist: Optional[Path] = None,
-    frontend: str = "auto",
-    warnings: Optional[List[str]] = None,
 ) -> AnalysisResult:
-    if frontend not in FRONTENDS:
-        raise AnalysisError(f"unknown frontend '{frontend}' "
-                            f"(expected one of {', '.join(FRONTENDS)})")
     root = (root or repo_root()).resolve()
     rules = list(rules) if rules is not None else list(AST_RULES)
     entries = _load_allowlist(allowlist) if allowlist else []
-    warnings = warnings if warnings is not None else []
     findings: List[Finding] = []
     used_entries: Set[int] = set()
     suppressed = 0
@@ -127,8 +96,7 @@ def analyze_paths_ast(
             except ValueError:
                 rel = f.as_posix()
             file_findings, file_suppressed = analyze_file_ast(
-                f, rel, rules, root, frontend, warnings,
-                suppressed_by_rule, rule_elapsed)
+                f, rel, rules, suppressed_by_rule, rule_elapsed)
             scanned_files.append((rel, f))
             suppressed += file_suppressed
             for finding in file_findings:
@@ -152,7 +120,6 @@ def main(argv: Sequence[str]) -> int:
     json_out: Optional[Path] = None
     rule_filter: Optional[List[ASTRule]] = None
     allowlist: Optional[Path] = None
-    frontend = "auto"
     budget_s: Optional[float] = None
     paths: List[str] = []
     i = 0
@@ -177,13 +144,6 @@ def main(argv: Sequence[str]) -> int:
                       file=sys.stderr)
                 return 2
             rule_filter = [AST_RULES_BY_NAME[x] for x in names]
-        elif a == "--frontend":
-            i += 1
-            if i >= len(args) or args[i] not in FRONTENDS:
-                print(f"--frontend needs one of: {', '.join(FRONTENDS)}",
-                      file=sys.stderr)
-                return 2
-            frontend = args[i]
         elif a == "--allowlist":
             i += 1
             if i >= len(args):
@@ -204,8 +164,7 @@ def main(argv: Sequence[str]) -> int:
         elif a in ("-h", "--help"):
             print(__doc__)
             print("usage: run_ast_analysis.py [--json OUT] [--rules a,b] "
-                  "[--frontend auto|internal|clang] [--allowlist FILE] "
-                  "[--budget-seconds N] PATH...")
+                  "[--allowlist FILE] [--budget-seconds N] PATH...")
             return 0
         elif a.startswith("-"):
             print(f"unknown option: {a}", file=sys.stderr)
@@ -217,40 +176,24 @@ def main(argv: Sequence[str]) -> int:
         print("usage: run_ast_analysis.py [--json OUT] PATH...",
               file=sys.stderr)
         return 2
-    if frontend == "clang":
-        ok, detail = clang_frontend.clang_available()
-        if not ok:
-            # Loud skip, success exit: mirrors run_clang_tidy.sh so CI legs
-            # that install libclang conditionally stay green without it.
-            print(f"SKIP: ast-analysis clang frontend unavailable: {detail}",
-                  file=sys.stderr)
-            print("SKIP: install libclang + python3-clang to run this leg; "
-                  "the internal frontend still gates via "
-                  "`--frontend internal`", file=sys.stderr)
-            return 0
     started = time.monotonic()
-    warnings: List[str] = []
     try:
         result = analyze_paths_ast(
-            paths, rules=rule_filter, allowlist=allowlist,
-            frontend=frontend, warnings=warnings)
+            paths, rules=rule_filter, allowlist=allowlist)
     except AnalysisError as e:
         print(f"analysis error: {e}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - started
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
     for f in result.findings:
         print(f.render())
     if json_out is not None:
         payload = result.to_json()
         payload["layer"] = "ast"
-        payload["frontend"] = frontend
         payload["elapsed_seconds"] = round(elapsed, 3)
         json_out.write_text(
             json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(
-        f"ast-analysis[{frontend}]: {len(result.findings)} finding(s), "
+        f"ast-analysis: {len(result.findings)} finding(s), "
         f"{result.suppressed} suppressed, "
         f"{result.files_scanned} file(s) scanned in {elapsed:.1f}s",
         file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Internal frontend: token stream -> astmodel translation unit.
+"""Parser: token stream -> astmodel translation unit.
 
 A structural C++ parser built on tools/analysis/lexer.py. It does not try
 to be a compiler: types are token text, expressions stay token slices, and
@@ -693,7 +693,7 @@ def _parse_classes(tokens: List[Token]):
 def parse_tokens(rel: str, tokens: List[Token]) -> TranslationUnit:
     classes, spans, member_decls = _parse_classes(tokens)
     functions = find_functions(tokens, spans)
-    table = SymbolTable(classes=classes, source="internal")
+    table = SymbolTable(classes=classes)
     for fn in list(functions) + member_decls:
         table.functions.setdefault(fn.name, []).append(fn)
     unordered = set(_unordered_decls(tokens))
@@ -703,7 +703,7 @@ def parse_tokens(rel: str, tokens: List[Token]) -> TranslationUnit:
                 unordered.add(f.name)
     table.unordered_names = frozenset(unordered)
     return TranslationUnit(rel=rel, tokens=tokens, functions=functions,
-                           symbols=table, frontend="internal")
+                           symbols=table)
 
 
 def load_tu(fs_path: Path, rel: str) -> TranslationUnit:

@@ -20,7 +20,7 @@ Each rule is modeled on a bug class this repo actually shipped and fixed:
                                PR 1-5: unordered-container iteration order
                                flowing into trace/bench/report output.
 
-Rules act only on what the frontends recover; unparsed constructs degrade
+Rules act only on what the parser recovers; unparsed constructs degrade
 to silence. Messages carry the evidence (what was killed where) so a
 finding is checkable by reading the two named lines.
 """

@@ -2,11 +2,9 @@
 """CLI entry point for the flow-sensitive AST analyzer.
 
     tools/analysis/ast/run_ast_analysis.py [--json OUT] [--rules a,b]
-        [--frontend auto|internal|clang] [--allowlist FILE]
-        [--budget-seconds N] PATH...
+        [--allowlist FILE] [--budget-seconds N] PATH...
 
-Exit codes: 0 clean (or loud skip when `--frontend clang` finds no
-libclang), 1 unsuppressed findings, 2 usage/configuration error.
+Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/configuration error.
 """
 
 import sys

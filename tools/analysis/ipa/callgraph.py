@@ -1,6 +1,6 @@
 """Whole-program model: call graph + per-function summaries.
 
-Built on the astmodel IR both AST frontends produce. Every scanned file's
+Built on the astmodel IR the AST parser produces. Every scanned file's
 translation unit joins one Program; function definitions become nodes,
 call expressions become edges (kind 'direct' for bare calls, 'method' for
 x.f()/x->f()/C::f(), 'callback' for lambdas escaping into the deferred-

@@ -8,10 +8,10 @@ Program (call graph + summaries) before any rule runs, so a finding in
 file A can be caused by a summary computed from file B.
 
 `--cache FILE` persists the full report keyed on a hash of every scanned
-file's content plus the engine version, rule set, allowlist, and
-frontend; a warm run with identical inputs replays the report without
-rebuilding the call graph (the CI step caches this file keyed on the
-source hash).
+file's content plus the analyzer's own source (every tools/analysis
+module), rule set, and allowlist; a warm run with identical inputs
+replays the report without rebuilding the call graph (the CI step caches
+this file keyed on the source hash).
 """
 
 from __future__ import annotations
@@ -29,39 +29,26 @@ from ..engine import (
     _parse_suppressions, check_stale_allowlist, repo_root,
 )
 from ..lexer import tokenize
-from ..ast import clang_frontend
-from ..ast import parser as internal_parser
-from ..ast.engine import FRONTENDS, known_rule_names as _ast_known
+from ..ast import parser
+from ..ast.engine import known_rule_names as _ast_known
 from .callgraph import Program
 from .rules import IPA_RULES, IPA_RULES_BY_NAME, IPARule
 
-# Bump to invalidate --cache files when summaries or rules change shape.
-ENGINE_VERSION = "ipa-1"
+# The analyzer package (tools/analysis); its own source is part of the
+# --cache key, so editing any rule, parser, or engine module invalidates.
+_ANALYZER_ROOT = Path(__file__).resolve().parents[1]
 
 
 def known_rule_names() -> Set[str]:
     return _ast_known() | set(IPA_RULES_BY_NAME)
 
 
-def _load_tu(fs_path: Path, rel: str, root: Path, frontend: str,
-             warnings: List[str]):
-    if frontend in ("clang", "auto"):
-        ok, detail = clang_frontend.clang_available()
-        if ok or frontend == "clang":
-            return clang_frontend.load_tu(
-                fs_path, rel, root, warn=warnings.append)
-        if not warnings:
-            warnings.append(
-                f"clang frontend unavailable ({detail}); "
-                "using internal frontend")
-    return internal_parser.load_tu(fs_path, rel)
-
-
 def _cache_key(files: Sequence[Tuple[str, bytes]], rules: Sequence[IPARule],
-               allowlist: Optional[Path], frontend: str) -> str:
+               allowlist: Optional[Path]) -> str:
     h = hashlib.sha256()
-    h.update(ENGINE_VERSION.encode())
-    h.update(frontend.encode())
+    for module in sorted(_ANALYZER_ROOT.rglob("*.py")):
+        h.update(module.relative_to(_ANALYZER_ROOT).as_posix().encode())
+        h.update(hashlib.sha256(module.read_bytes()).digest())
     h.update(",".join(r.name for r in rules).encode())
     if allowlist is not None and allowlist.is_file():
         h.update(allowlist.read_bytes())
@@ -85,14 +72,10 @@ def analyze_paths_ipa(
     rules: Optional[Sequence[IPARule]] = None,
     root: Optional[Path] = None,
     allowlist: Optional[Path] = None,
-    frontend: str = "auto",
     warnings: Optional[List[str]] = None,
     cache: Optional[Path] = None,
     stats: Optional[dict] = None,
 ) -> AnalysisResult:
-    if frontend not in FRONTENDS:
-        raise AnalysisError(f"unknown frontend '{frontend}' "
-                            f"(expected one of {', '.join(FRONTENDS)})")
     root = (root or repo_root()).resolve()
     rules = list(rules) if rules is not None else list(IPA_RULES)
     entries = _load_allowlist(allowlist) if allowlist else []
@@ -114,7 +97,7 @@ def analyze_paths_ipa(
             file_list.append((rel, f))
             blobs.append((rel, f.read_bytes()))
 
-    key = _cache_key(blobs, rules, allowlist, frontend)
+    key = _cache_key(blobs, rules, allowlist)
     if cache is not None and cache.is_file():
         try:
             cached = json.loads(cache.read_text(encoding="utf-8"))
@@ -139,7 +122,7 @@ def analyze_paths_ipa(
         suppressions[rel] = _parse_suppressions(
             comments, tokens, rel, known_rule_names())
         lines_of[rel] = text.splitlines()
-        tus.append(_load_tu(f, rel, root, frontend, warnings))
+        tus.append(parser.load_tu(f, rel))
 
     # Phase 3: whole-program model.
     program = Program(tus)
@@ -205,7 +188,6 @@ def main(argv: Sequence[str]) -> int:
     json_out: Optional[Path] = None
     rule_filter: Optional[List[IPARule]] = None
     allowlist: Optional[Path] = None
-    frontend = "auto"
     budget_s: Optional[float] = None
     cache: Optional[Path] = None
     paths: List[str] = []
@@ -231,13 +213,6 @@ def main(argv: Sequence[str]) -> int:
                       file=sys.stderr)
                 return 2
             rule_filter = [IPA_RULES_BY_NAME[x] for x in names]
-        elif a == "--frontend":
-            i += 1
-            if i >= len(args) or args[i] not in FRONTENDS:
-                print(f"--frontend needs one of: {', '.join(FRONTENDS)}",
-                      file=sys.stderr)
-                return 2
-            frontend = args[i]
         elif a == "--allowlist":
             i += 1
             if i >= len(args):
@@ -264,8 +239,8 @@ def main(argv: Sequence[str]) -> int:
         elif a in ("-h", "--help"):
             print(__doc__)
             print("usage: run_ipa_analysis.py [--json OUT] [--rules a,b] "
-                  "[--frontend auto|internal|clang] [--allowlist FILE] "
-                  "[--cache FILE] [--budget-seconds N] PATH...")
+                  "[--allowlist FILE] [--cache FILE] "
+                  "[--budget-seconds N] PATH...")
             return 0
         elif a.startswith("-"):
             print(f"unknown option: {a}", file=sys.stderr)
@@ -277,23 +252,13 @@ def main(argv: Sequence[str]) -> int:
         print("usage: run_ipa_analysis.py [--json OUT] PATH...",
               file=sys.stderr)
         return 2
-    if frontend == "clang":
-        ok, detail = clang_frontend.clang_available()
-        if not ok:
-            print(f"SKIP: ipa-analysis clang frontend unavailable: "
-                  f"{detail}", file=sys.stderr)
-            print("SKIP: install libclang + python3-clang to run this "
-                  "leg; the internal frontend still gates via "
-                  "`--frontend internal`", file=sys.stderr)
-            return 0
     started = time.monotonic()
     warnings: List[str] = []
     stats: dict = {}
     try:
         result = analyze_paths_ipa(
             paths, rules=rule_filter, allowlist=allowlist,
-            frontend=frontend, warnings=warnings, cache=cache,
-            stats=stats)
+            warnings=warnings, cache=cache, stats=stats)
     except AnalysisError as e:
         print(f"analysis error: {e}", file=sys.stderr)
         return 2
@@ -305,7 +270,6 @@ def main(argv: Sequence[str]) -> int:
     if json_out is not None:
         payload = result.to_json()
         payload["layer"] = "ipa"
-        payload["frontend"] = frontend
         payload["elapsed_seconds"] = round(elapsed, 3)
         payload["callgraph"] = {
             "functions": stats.get("functions", 0),
@@ -315,7 +279,7 @@ def main(argv: Sequence[str]) -> int:
         json_out.write_text(
             json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(
-        f"ipa-analysis[{frontend}]: {len(result.findings)} finding(s), "
+        f"ipa-analysis: {len(result.findings)} finding(s), "
         f"{result.suppressed} suppressed, "
         f"{result.files_scanned} file(s) scanned in {elapsed:.1f}s "
         f"({stats.get('functions', 0)} functions, "

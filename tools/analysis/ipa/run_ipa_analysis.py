@@ -2,14 +2,11 @@
 """CLI for the interprocedural analyzer (tools/analysis/ipa).
 
 Usage: run_ipa_analysis.py [--json OUT] [--rules a,b]
-                           [--frontend auto|internal|clang]
                            [--allowlist FILE] [--cache FILE]
                            [--budget-seconds N] PATH...
 
-Exit codes: 0 clean, 1 findings, 2 usage/config error. `--frontend
-clang` without libclang prints a loud SKIP and exits 0 (mirrors
-tools/run_clang_tidy.sh). See docs/static_analysis.md for the rule
-catalog and suppression syntax.
+Exit codes: 0 clean, 1 findings, 2 usage/config error. See
+docs/static_analysis.md for the rule catalog and suppression syntax.
 """
 
 import sys

@@ -1,9 +1,9 @@
 """Rule implementations for the longlook token-aware analyzer.
 
 Every rule consumes the token stream produced by lexer.tokenize() and
-returns (line, message) findings. Path scoping mirrors the original lint:
-substring fragments, so the self-test fixtures can opt into a scope by
-embedding the fragment in their directory name (e.g. fixtures/bad/harness/).
+returns (line, message) findings. Path scoping is by substring fragment,
+so the self-test fixtures can opt into a scope by embedding the fragment in
+their directory name (e.g. fixtures/bad/harness/).
 """
 
 from __future__ import annotations
@@ -866,7 +866,7 @@ def _field_name(stmt: Sequence[Token]) -> Optional[str]:
 
 # --- registry ---------------------------------------------------------------
 
-LEGACY_RULES = [
+DETERMINISM_RULES = [
     Rule("wall-clock", _everywhere, _check_wall_clock,
          "Any real-time source; virtual time comes from Simulator::now()."),
     Rule("raw-rand", _everywhere, _check_raw_rand,
@@ -883,7 +883,7 @@ LEGACY_RULES = [
          "printf/std::cout in transport/link layers; use obs:: sinks."),
 ]
 
-NEW_RULES = [
+SEMANTIC_RULES = [
     Rule("narrowing-time-arith", _everywhere, _check_narrowing_time_arith,
          "Truncating or sign-mixing casts on *_us/*_ms/.count()/packet-"
          "number expressions."),
@@ -898,5 +898,5 @@ NEW_RULES = [
          "obs/harness/bench are exempt."),
 ]
 
-ALL_RULES = LEGACY_RULES + NEW_RULES
+ALL_RULES = DETERMINISM_RULES + SEMANTIC_RULES
 RULES_BY_NAME: Dict[str, Rule] = {r.name: r for r in ALL_RULES}

@@ -2,7 +2,7 @@
 """CLI entry point for the longlook analyzer.
 
     tools/analysis/run_analysis.py [--json OUT] [--rules a,b]
-                                   [--legacy-only] [--allowlist FILE] PATH...
+                                   [--allowlist FILE] PATH...
 
 Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/configuration error.
 """
