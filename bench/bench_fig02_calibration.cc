@@ -1,13 +1,13 @@
 // Fig. 2 — Calibration: Google App Engine vs our QUIC servers before and
 // after configuring them. 10 MB image over a 100 Mbps link; the bar chart
-// splits wait time (connection established -> first byte) from download
-// time. The uncalibrated public release takes ~2x as long; GAE adds a
-// large, variable wait.
+// splits wait time (connection start -> first byte, handshake included)
+// from download time. The uncalibrated public release takes ~2x as long;
+// GAE adds a large, variable wait.
 #include "bench_common.h"
 
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "http/quic_session.h"
+#include "workload/executor.h"
 
 namespace {
 
@@ -37,14 +37,16 @@ BarResult run_one(const quic::QuicConfig& config, bool gae_wait,
   http::QuicClientSession session(tb.sim(), tb.client_host(),
                                   tb.server_host().address(), kQuicPort,
                                   config, tokens);
-  http::PageLoader loader(tb.sim(), session, {1, 10 * 1024 * 1024});
+  workload::ScenarioRunner loader(
+      tb.sim(), session, workload::page_scenario({1, 10 * 1024 * 1024}));
   loader.start();
   tb.run_until([&] { return loader.finished(); }, seconds(300));
+  fold_profile_counters(longlook::bench::context().profiler(), tb);
   BarResult out;
   if (!loader.finished()) return out;
-  const auto& obj = loader.result().objects[0];
+  const workload::TransactionTiming& obj = loader.result().detail[0];
   out.wait_s = to_seconds(obj.first_byte - loader.result().started);
-  out.download_s = to_seconds(obj.complete - obj.first_byte);
+  out.download_s = to_seconds(obj.completed - obj.first_byte);
   return out;
 }
 

@@ -5,9 +5,9 @@
 #include "bench_common.h"
 
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "http/quic_session.h"
 #include "smi/inference.h"
+#include "workload/executor.h"
 
 namespace {
 
@@ -27,9 +27,11 @@ void trace_run(smi::StateMachineInference& cubic_inf,
   http::QuicClientSession session(tb.sim(), tb.client_host(),
                                   tb.server_host().address(), kQuicPort, cfg,
                                   tokens);
-  http::PageLoader loader(tb.sim(), session, {objects, bytes});
+  workload::ScenarioRunner loader(tb.sim(), session,
+                                  workload::page_scenario({objects, bytes}));
   loader.start();
   tb.run_until([&] { return loader.finished(); }, seconds(300));
+  fold_profile_counters(longlook::bench::context().profiler(), tb);
   auto* conn = server.server().latest_connection();
   if (conn == nullptr) return;
   if (algo == quic::CcAlgorithm::kCubic) {

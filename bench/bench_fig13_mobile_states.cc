@@ -6,6 +6,7 @@
 #include "bench_common.h"
 
 #include "smi/inference.h"
+#include "workload/executor.h"
 
 namespace {
 using namespace longlook;
@@ -24,9 +25,11 @@ smi::StateMachineInference infer_for_device(const DeviceProfile& dev) {
     http::QuicClientSession session(tb.sim(), tb.client_host(),
                                     tb.server_host().address(), kQuicPort, {},
                                     tokens);
-    http::PageLoader loader(tb.sim(), session, {1, 20 * 1024 * 1024});
+    workload::ScenarioRunner loader(
+        tb.sim(), session, workload::page_scenario({1, 20 * 1024 * 1024}));
     loader.start();
     tb.run_until([&] { return loader.finished(); }, seconds(120));
+    fold_profile_counters(longlook::bench::context().profiler(), tb);
     if (auto* conn = server.server().latest_connection()) {
       inf.add_trace(smi::trace_from_tracker(conn->send_algorithm().tracker(),
                                             TimePoint{}, tb.sim().now()));

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "bench_common.h"
+#include "workload/executor.h"
 
 namespace {
 using namespace longlook;
@@ -34,7 +35,9 @@ Measured measure(const CellularProfile& profile) {
                                   tokens);
   const std::size_t bytes = static_cast<std::size_t>(
       profile.throughput_mbps * 1e6 / 8 * 20);  // ~20 s of transfer
-  http::PageLoader loader(tb.sim(), session, {1, std::max<std::size_t>(bytes, 64 * 1024)});
+  workload::ScenarioRunner loader(
+      tb.sim(), session,
+      workload::page_scenario({1, std::max<std::size_t>(bytes, 64 * 1024)}));
   std::vector<double> rtt_samples_ms;
   loader.start();
   // Sample the server's latest RTT once per second.
@@ -48,13 +51,12 @@ Measured measure(const CellularProfile& profile) {
   };
   tb.sim().schedule(milliseconds(500), sample);
   tb.run_until([&] { return loader.finished(); }, seconds(120));
+  fold_profile_counters(longlook::bench::context().profiler(), tb);
 
-  const double dur = to_seconds(loader.result().finished -
-                                loader.result().started);
+  const double dur = to_seconds(loader.result().duration);
   if (dur > 0) {
     out.throughput_mbps =
-        static_cast<double>(loader.result().objects[0].bytes_received) * 8 /
-        dur / 1e6;
+        static_cast<double>(loader.result().download_bytes) * 8 / dur / 1e6;
   }
   const auto rtt_summary = stats::summarize(rtt_samples_ms);
   out.rtt_ms = rtt_summary.mean;

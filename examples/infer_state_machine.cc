@@ -9,9 +9,9 @@
 
 #include "harness/testbed.h"
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "http/quic_session.h"
 #include "smi/inference.h"
+#include "workload/executor.h"
 
 using namespace longlook;
 
@@ -28,7 +28,8 @@ void collect_trace(smi::StateMachineInference& inference,
                                   tb.server_host().address(),
                                   harness::kQuicPort, quic::QuicConfig{},
                                   tokens);
-  http::PageLoader loader(tb.sim(), session, {objects, bytes});
+  workload::ScenarioRunner loader(tb.sim(), session,
+                                  workload::page_scenario({objects, bytes}));
   loader.start();
   tb.run_until([&] { return loader.finished(); }, seconds(120));
   if (auto* conn = server.server().latest_connection()) {

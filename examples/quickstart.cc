@@ -7,8 +7,8 @@
 
 #include "harness/testbed.h"
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "http/quic_session.h"
+#include "workload/executor.h"
 
 using namespace longlook;
 
@@ -27,7 +27,8 @@ int main() {
   http::QuicObjectServer server(tb.sim(), tb.server_host(),
                                 harness::kQuicPort, quic::QuicConfig{});
 
-  // 3. Connect a client and load a page of 10 x 100 KB objects. The token
+  // 3. Connect a client and load a page of 10 x 100 KB objects — the
+  //    one-entry workload scenario `*1:0:-:page=10x102400;`. The token
   //    cache is empty, so this first connection pays QUIC's 1-RTT setup;
   //    keep the cache around and the next connection would be 0-RTT.
   quic::TokenCache tokens;
@@ -35,7 +36,8 @@ int main() {
                                   tb.server_host().address(),
                                   harness::kQuicPort, quic::QuicConfig{},
                                   tokens);
-  http::PageLoader loader(tb.sim(), session, {10, 100 * 1024});
+  workload::ScenarioRunner loader(tb.sim(), session,
+                                  workload::page_scenario({10, 100 * 1024}));
   loader.start();
 
   // 4. Run the virtual clock until the page completes.
@@ -45,13 +47,15 @@ int main() {
   }
 
   // 5. Inspect the results: PLT, per-object timings, transport internals.
-  const http::PageLoadResult& page = loader.result();
+  const workload::ScenarioResult& page = loader.result();
   std::printf("Page load time: %.3f s (%zu objects)\n",
-              to_seconds(page.plt), page.objects.size());
-  for (const auto& obj : page.objects) {
-    std::printf("  obj%-3zu first-byte %.3fs  complete %.3fs  (%zu bytes)\n",
-                obj.index, to_seconds(obj.first_byte - page.started),
-                to_seconds(obj.complete - page.started), obj.bytes_received);
+              to_seconds(page.duration), page.detail.size());
+  for (const auto& obj : page.detail) {
+    std::printf("  obj%-3llu first-byte %.3fs  complete %.3fs  (%llu bytes)\n",
+                static_cast<unsigned long long>(obj.object_index),
+                to_seconds(obj.first_byte - page.started),
+                to_seconds(obj.completed - page.started),
+                static_cast<unsigned long long>(obj.download_bytes));
   }
 
   const quic::QuicConnection& client = session.connection();

@@ -141,26 +141,6 @@ void fold_link_metrics(obs::MetricsRegistry& m, const std::string& p,
          up.delivered_out_of_order + down.delivered_out_of_order);
 }
 
-// Folds the run's simulator/link work volume into the profiler shard. The
-// values themselves are deterministic (virtual-time bookkeeping); only the
-// wall-time histograms alongside them vary run to run.
-void fold_profile_counters(obs::ProfilerShard* prof, Testbed& tb) {
-  if (prof == nullptr) return;
-  prof->add("runs", 1);
-  prof->add("sim_events", tb.sim().dispatched_events());
-  prof->add("timer_ops", tb.sim().timer_ops());
-  const LinkStats& up = tb.uplink().stats();
-  const LinkStats& down = tb.downlink().stats();
-  prof->add("packets_forwarded", up.delivered + down.delivered);
-  prof->add("bytes_moved", up.bytes_delivered + down.bytes_delivered);
-  // Allocation telemetry for the pooled sim core. Both counts depend only
-  // on the simulated workload (per-Simulator pool high-water mark and
-  // oversized-callback count), so they are deterministic and safe to gate
-  // with hard floors in CI (tools/bench_report.py perf-floor).
-  prof->add("sim_event_pool_slots", tb.sim().event_pool_slots());
-  prof->add("sim_callback_heap", tb.sim().callback_heap_allocs());
-}
-
 // Periodic `ts:` sampling opt-in: opts.sample_state, or LL_SAMPLE set to
 // anything but "" / "0". Only consulted when the run is traced.
 bool sampling_enabled(const CompareOptions& opts) {
@@ -210,19 +190,30 @@ void fold_run_metrics(const RunObserver& observer, const Workload* page,
   }
 }
 
-workload::ScenarioSpec page_spec(const Workload& page) {
-  workload::ScenarioSpec spec;
-  spec.streams.emplace_back().page =
-      workload::PageGraph{page.object_count, page.object_bytes};
-  return spec;
-}
-
 std::optional<double> duration_s(const std::optional<ScenarioRunStats>& s) {
   if (!s) return std::nullopt;
   return s->duration_s;
 }
 
 }  // namespace
+
+void fold_profile_counters(obs::Profiler* profiler, Testbed& tb) {
+  obs::ProfilerShard* prof = obs::Profiler::local(profiler);
+  if (prof == nullptr) return;
+  prof->add("runs", 1);
+  prof->add("sim_events", tb.sim().dispatched_events());
+  prof->add("timer_ops", tb.sim().timer_ops());
+  const LinkStats& up = tb.uplink().stats();
+  const LinkStats& down = tb.downlink().stats();
+  prof->add("packets_forwarded", up.delivered + down.delivered);
+  prof->add("bytes_moved", up.bytes_delivered + down.bytes_delivered);
+  // Allocation telemetry for the pooled sim core. Both counts depend only
+  // on the simulated workload (per-Simulator pool high-water mark and
+  // oversized-callback count), so they are deterministic and safe to gate
+  // with hard floors in CI (tools/bench_report.py perf-floor).
+  prof->add("sim_event_pool_slots", tb.sim().event_pool_slots());
+  prof->add("sim_callback_heap", tb.sim().callback_heap_allocs());
+}
 
 namespace detail {
 
@@ -294,7 +285,7 @@ std::optional<ScenarioRunStats> run_stack(const Scenario& scenario,
                                  eff->timeout);
   const workload::ScenarioResult& res = driver.result();
   emit_run_summary(sink, done, res.duration, tb.sim().now());
-  fold_profile_counters(prof, tb);
+  fold_profile_counters(opts.profiler, tb);
   fold_sampler_counters(prof, sampler ? &*sampler : nullptr, dumps_before);
   if (observer != nullptr) {
     fold_run_metrics<S>(*observer, page, done, res, session, server, tb);
@@ -319,7 +310,8 @@ std::optional<double> run_quic_page_load(const Scenario& scenario,
                                          quic::TokenCache& tokens,
                                          const RunObserver* observer) {
   return duration_s(detail::run_stack<QuicStack>(
-      scenario, page_spec(workload), &workload, opts, &tokens, observer));
+      scenario, workload::page_scenario(workload), &workload, opts, &tokens,
+      observer));
 }
 
 std::optional<double> run_tcp_page_load(const Scenario& scenario,
@@ -327,7 +319,8 @@ std::optional<double> run_tcp_page_load(const Scenario& scenario,
                                         const CompareOptions& opts,
                                         const RunObserver* observer) {
   return duration_s(detail::run_stack<TcpStack>(
-      scenario, page_spec(workload), &workload, opts, nullptr, observer));
+      scenario, workload::page_scenario(workload), &workload, opts, nullptr,
+      observer));
 }
 
 namespace {
@@ -488,7 +481,8 @@ SweepRunner::Ticket compare_plt_async(SweepRunner& runner,
                                       const CompareOptions& opts,
                                       CellResult* out,
                                       ProgressReporter* progress) {
-  return detail::submit_cell(runner, scenario, page_spec(workload), workload,
+  return detail::submit_cell(runner, scenario,
+                             workload::page_scenario(workload), workload,
                              {{{true, opts, "quic", "quic."},
                                {false, opts, "tcp", "tcp."}}},
                              out, progress);
@@ -502,7 +496,8 @@ SweepRunner::Ticket compare_quic_pair_async(SweepRunner& runner,
                                             CellResult* out,
                                             ProgressReporter* progress) {
   // Convention: "a" plays the QUIC role, "b" the baseline role.
-  return detail::submit_cell(runner, scenario, page_spec(workload), workload,
+  return detail::submit_cell(runner, scenario,
+                             workload::page_scenario(workload), workload,
                              {{{true, a_opts, "a", "quic_a."},
                                {true, b_opts, "b", "quic_b."}}},
                              out, progress);

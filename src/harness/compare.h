@@ -19,13 +19,12 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "stats/stats.h"
+#include "workload/scenario.h"
 
 namespace longlook::harness {
 
-struct Workload {
-  std::size_t object_count = 1;
-  std::size_t object_bytes = 100 * 1024;
-};
+// A page of N objects of B bytes: the workload of a page-load cell.
+using Workload = workload::PageGraph;
 
 struct CompareOptions {
   int rounds = 10;
@@ -95,6 +94,11 @@ struct RunObserver {
   obs::MetricsRegistry* metrics = nullptr;
   std::string prefix;
 };
+
+// Folds one finished run's simulator and link work (deterministic
+// virtual-time counts) into `profiler`; null is a no-op. Every harness run
+// does; benches that build a testbed by hand call it once per run.
+void fold_profile_counters(obs::Profiler* profiler, Testbed& tb);
 
 // Runs a single QUIC page load in a fresh testbed; returns PLT seconds or
 // nullopt on timeout. The token cache persists across calls via `tokens`.

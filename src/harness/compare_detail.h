@@ -4,9 +4,8 @@
 // entry points in compare.h / perf.h.
 //
 // Every run drives a workload::ScenarioRunner: a page load is the one-entry
-// spec `*1:0:-:page=NxB;`, which issues the same requests with the same
-// MSPC queueing as http::PageLoader, so PLTs and work counters are
-// unchanged (pinned in tests/test_workload.cc).
+// spec workload::page_scenario({N, B}), i.e. `*1:0:-:page=NxB;` (its PLTs
+// and work counters are pinned in tests/test_workload.cc).
 //
 // The determinism contract lives in submit_cell: round jobs write disjoint
 // scratch slots, the warm job runs strictly before every round (job-graph

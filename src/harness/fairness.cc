@@ -3,10 +3,10 @@
 #include <memory>
 
 #include "harness/compare_detail.h"
-#include "http/page_loader.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "sim/timer.h"
+#include "workload/executor.h"
 
 namespace longlook::harness {
 namespace {
@@ -14,11 +14,18 @@ namespace {
 struct Flow {
   FlowReport report;
   std::unique_ptr<http::ClientSession> session;
-  std::unique_ptr<http::PageLoader> loader;
+  std::unique_ptr<workload::ScenarioRunner> runner;
   std::size_t sampler_index = 0;
   // Sender-side (server) connection snapshot, resolved lazily after the
   // handshake: fills cwnd/srtt/inflight from the server's view of the flow.
   std::function<void(obs::ConnSample&)> state_probe;
+
+  // Bytes of the flow's one download received so far; 0 until the request
+  // is issued (the sampler can tick before the handshake completes).
+  std::uint64_t bytes_received() const {
+    const auto& d = runner->result().detail;
+    return d.empty() ? 0 : d[0].download_bytes;
+  }
 };
 
 }  // namespace
@@ -92,10 +99,10 @@ std::vector<FlowReport> run_fairness(const Scenario& scenario,
 
   // Start every flow at t=0: one huge download each.
   for (auto& flow : flows) {
-    flow->loader = std::make_unique<http::PageLoader>(
+    flow->runner = std::make_unique<workload::ScenarioRunner>(
         tb.sim(), *flow->session,
-        http::PageConfig{1, config.transfer_bytes});
-    flow->loader->start();
+        workload::page_scenario({1, config.transfer_bytes}));
+    flow->runner->start();
   }
 
   // Sampler: one `ts:flow` series per flow (server cwnd/srtt joined with
@@ -110,8 +117,7 @@ std::vector<FlowReport> run_fairness(const Scenario& scenario,
         sampler.add_flow(flow->report.name, [raw_flow]() {
           obs::ConnSample s;
           raw_flow->state_probe(s);
-          s.delivered_bytes =
-              raw_flow->loader->result().objects[0].bytes_received;
+          s.delivered_bytes = raw_flow->bytes_received();
           return s;
         });
   }
@@ -138,8 +144,7 @@ std::vector<FlowReport> run_fairness(const Scenario& scenario,
       last = pt.sample.delivered_bytes;
       flow.report.timeline.push_back(s);
     }
-    flow.report.bytes_received =
-        flow.loader->result().objects[0].bytes_received;
+    flow.report.bytes_received = flow.bytes_received();
     flow.report.avg_mbps = static_cast<double>(flow.report.bytes_received) *
                            8.0 / to_seconds(config.duration) / 1e6;
     m.incr("flow" + std::to_string(i) + ".bytes_received",

@@ -14,7 +14,6 @@
 #include <optional>
 
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "net/host.h"
 #include "net/profiles.h"
 #include "net/varbw.h"

@@ -1,9 +1,9 @@
 // Transport-agnostic application stream/session interfaces.
 //
-// The page loader and video client drive these; QUIC maps them onto native
-// streams (no cross-object head-of-line blocking), while TCP maps them onto
-// HTTP/2-lite frames inside one ordered byte stream (HOL blocking under
-// loss, exactly the contrast the paper studies).
+// workload::ScenarioRunner and the video client drive these; QUIC maps them
+// onto native streams (no cross-object head-of-line blocking), while TCP
+// maps them onto HTTP/2-lite frames inside one ordered byte stream (HOL
+// blocking under loss, exactly the contrast the paper studies).
 #pragma once
 
 #include <cstdint>

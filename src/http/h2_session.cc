@@ -128,8 +128,8 @@ void H2Session::dispatch(std::uint64_t stream_id, BytesView data, bool fin) {
   }
   H2Stream& stream = *it->second;
   // Settle the accounting BEFORE delivering: deliver() fires the app's
-  // on_data callback, and apps (PageLoader) open their next queued stream
-  // from inside it — can_open_stream() must already see this slot freed.
+  // on_data callback, and the app (ScenarioRunner) opens its next queued
+  // stream from inside it — can_open_stream() must already see this slot.
   if (fin && !stream.remote_closed()) {
     LL_INVARIANT(open_streams_ > 0)
         << "h2 stream " << stream_id << " closed with zero open streams";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -16,8 +17,8 @@ constexpr std::size_t kUploadBacklogLimit = 2 * 1024 * 1024;
 }  // namespace
 
 ScenarioRunner::ScenarioRunner(Simulator& sim, http::ClientSession& session,
-                               const ScenarioSpec& spec)
-    : sim_(sim), session_(session), spec_(spec) {
+                               ScenarioSpec spec)
+    : sim_(sim), session_(session), spec_(std::move(spec)) {
   entries_.resize(spec_.streams.size());
 }
 
@@ -69,6 +70,8 @@ void ScenarioRunner::pump_issue_queue() {
       const PendingRequest req = pending_.front();
       pending_.pop_front();
       if (!issue(req)) {
+        // A free slot whose open fails (transport not ready): keep the
+        // request queued and stop, so this loop cannot spin.
         pending_.push_front(req);
         break;
       }
@@ -108,8 +111,7 @@ bool ScenarioRunner::issue(const PendingRequest& req) {
   });
 
   if (s.is_page()) {
-    // Identical wire form to the PageLoader, so page entries exercise the
-    // exact request path the paper's PLT cells measure.
+    // The object request the paper's PLT cells measure.
     const std::string request =
         "GET /obj" + std::to_string(req.object_index) + " " +
         std::to_string(s.page->object_bytes) + "\n";

@@ -1,20 +1,21 @@
 // ScenarioRunner: executes a parsed scenario over any http::ClientSession
-// (QUIC or TCP/H2 — the same transport-agnostic interface the PageLoader
-// drives), measuring what the quicperf protocol reports: total duration,
-// transaction count, and bytes moved in each direction.
+// (QUIC or TCP/H2), measuring what the quicperf protocol reports: total
+// duration, transaction count, and bytes moved in each direction. It is the
+// testbed's only application driver; a page load is page_scenario({N, B}),
+// whose duration is the paper's PLT and `detail` its resource timings.
 //
 // Execution semantics:
 //   * entries with start-after "-" begin as soon as the session is ready
-//     and run concurrently (MSPC-limited, queueing like the page loader);
+//     and run concurrently (MSPC-limited, queueing on the stream limit);
 //   * an entry's N repetitions run sequentially — request/response
 //     ping-pong — each on a fresh transport stream;
 //   * an entry with start-after=M begins when entry M completes (all of
 //     M's repetitions); the start fires exactly once even when the parent
 //     completes inside the same transport event callback (the PR 2
 //     fin-before-on_data reentrancy class);
-//   * page entries fetch their object graph like the PageLoader: all
-//     objects requested in parallel against the session's stream limit,
-//     the repetition completing with the last object's final byte.
+//   * page entries request all their objects in parallel against the
+//     stream limit, in object order, the repetition completing with the
+//     last object's final byte.
 //
 // Uploads ride the PRF request ("PRF <download> <upload>\n" + body; see
 // http::ObjectService); large bodies are produced incrementally against
@@ -58,10 +59,12 @@ struct ScenarioResult {
 
 class ScenarioRunner {
  public:
-  // `session` and `spec` must outlive the runner; the runner must outlive
-  // the simulation (its stream callbacks reference it).
+  // `session` must outlive the runner; the runner must outlive the
+  // simulation (its stream callbacks reference it, so it is not copyable).
   ScenarioRunner(Simulator& sim, http::ClientSession& session,
-                 const ScenarioSpec& spec);
+                 ScenarioSpec spec);
+  ScenarioRunner(const ScenarioRunner&) = delete;
+  ScenarioRunner& operator=(const ScenarioRunner&) = delete;
 
   // Connects and begins executing; on_done fires when every entry has
   // completed all its repetitions.
@@ -97,7 +100,7 @@ class ScenarioRunner {
 
   Simulator& sim_;
   http::ClientSession& session_;
-  const ScenarioSpec& spec_;
+  const ScenarioSpec spec_;
   std::function<void(const ScenarioResult&)> on_done_;
   ScenarioResult result_;
   std::vector<EntryState> entries_;

@@ -302,6 +302,15 @@ std::vector<std::string> page_graph_names() {
   return out;
 }
 
+ScenarioSpec page_scenario(PageGraph page) {
+  ScenarioSpec spec;
+  StreamSpec& s = spec.streams.emplace_back();
+  s.page = page;
+  s.page_ref = std::to_string(page.object_count) + "x" +
+               std::to_string(page.object_bytes);
+  return spec;
+}
+
 std::string ScenarioSpec::format() const {
   std::string out;
   for (const StreamSpec& s : streams) {

@@ -33,8 +33,8 @@
 
 namespace longlook::workload {
 
-// A named page-load object graph: N objects of S bytes fetched in parallel
-// (MSPC-limited), PageLoader-style.
+// A page-load object graph: N objects of S bytes fetched in parallel
+// (MSPC-limited). Also the harness's page shape (harness::Workload).
 struct PageGraph {
   std::size_t object_count = 1;
   std::size_t object_bytes = 100 * 1024;
@@ -81,6 +81,10 @@ struct ScenarioSpec {
 
   bool operator==(const ScenarioSpec&) const = default;
 };
+
+// The one-entry page load `*1:0:-:page=NxB;` — how the harness, benches and
+// examples fetch a page through ScenarioRunner.
+ScenarioSpec page_scenario(PageGraph page);
 
 // Parse outcome: exactly one of `spec` / `error` is meaningful.
 struct ParseResult {

@@ -15,6 +15,7 @@
 #include "harness/perf.h"
 #include "harness/report.h"
 #include "harness/testbed.h"
+#include "workload/executor.h"
 #include "workload/scenario.h"
 
 namespace longlook::harness {
@@ -30,7 +31,8 @@ TEST(Testbed, BaseRttIsAbout36Ms) {
   http::QuicClientSession session(tb.sim(), tb.client_host(),
                                   tb.server_host().address(), kQuicPort, {},
                                   tokens);
-  http::PageLoader loader(tb.sim(), session, {1, 100 * 1024});
+  workload::ScenarioRunner loader(tb.sim(), session,
+                                  workload::page_scenario({1, 100 * 1024}));
   loader.start();
   ASSERT_TRUE(tb.run_until([&] { return loader.finished(); }, seconds(10)));
   auto* conn = server.server().latest_connection();
@@ -48,7 +50,8 @@ TEST(Testbed, ExtraRttIsAddedToPath) {
   http::QuicClientSession session(tb.sim(), tb.client_host(),
                                   tb.server_host().address(), kQuicPort, {},
                                   tokens);
-  http::PageLoader loader(tb.sim(), session, {1, 10 * 1024});
+  workload::ScenarioRunner loader(tb.sim(), session,
+                                  workload::page_scenario({1, 10 * 1024}));
   loader.start();
   ASSERT_TRUE(tb.run_until([&] { return loader.finished(); }, seconds(10)));
   auto* conn = server.server().latest_connection();

@@ -1,14 +1,10 @@
-// Unit tests: HTTP/2-lite framing, the object service request handling, and
-// the page loader's resource-timing semantics (driven over a real testbed).
+// Unit tests: HTTP/2-lite framing and H2Session stream accounting (the
+// object service over a real testbed is tested in test_workload.cc).
 #include <gtest/gtest.h>
 
-#include "harness/testbed.h"
 #include "http/h2_session.h"
 #include "tcp/connection.h"
 #include "util/bytes.h"
-#include "http/object_service.h"
-#include "http/page_loader.h"
-#include "http/quic_session.h"
 
 namespace longlook::http {
 namespace {
@@ -111,7 +107,7 @@ TEST(H2SessionAccounting, PeerInitiatedStreamCountsUntilFin) {
 }
 
 TEST(H2SessionAccounting, FinFreesConcurrencySlotBeforeOnDataFires) {
-  // PageLoader opens its next queued stream from inside the fin callback;
+  // The runner opens its next queued stream from inside the fin callback;
   // the closing stream's slot must already be released at that point
   // (regression: the counter was decremented after deliver(), so a session
   // at SETTINGS_MAX_CONCURRENT_STREAMS could never drain its queue).
@@ -157,101 +153,6 @@ TEST(H2InvariantDeathTest, PeerStreamInServerOwnedIdSpaceAborts) {
   H2Session session(fx.conn, /*is_client=*/false);
   EXPECT_DEATH(H2Fixture::feed(session, 4, {}, false),
                "INVARIANT failed.*server-owned id space");
-}
-
-// --- ObjectService over a real QUIC testbed ---------------------------------
-
-struct Fixture {
-  harness::Scenario scenario;
-  harness::Testbed tb{scenario};
-  QuicObjectServer server{tb.sim(), tb.server_host(), harness::kQuicPort,
-                          quic::QuicConfig{}};
-  quic::TokenCache tokens;
-  QuicClientSession session{tb.sim(),
-                            tb.client_host(),
-                            tb.server_host().address(),
-                            harness::kQuicPort,
-                            quic::QuicConfig{},
-                            tokens};
-};
-
-TEST(ObjectService, ServesRequestedSize) {
-  Fixture f;
-  PageLoader loader(f.tb.sim(), f.session, {1, 123456});
-  loader.start();
-  ASSERT_TRUE(f.tb.run_until([&] { return loader.finished(); }, seconds(30)));
-  EXPECT_EQ(loader.result().objects[0].bytes_received, 123456u);
-  EXPECT_EQ(f.server.service().requests_served(), 1u);
-}
-
-TEST(ObjectService, ZeroByteObject) {
-  Fixture f;
-  PageLoader loader(f.tb.sim(), f.session, {1, 0});
-  loader.start();
-  ASSERT_TRUE(f.tb.run_until([&] { return loader.finished(); }, seconds(30)));
-  EXPECT_EQ(loader.result().objects[0].bytes_received, 0u);
-}
-
-TEST(ObjectService, LargeObjectServedIncrementally) {
-  // Above the chunking threshold: the pump path must still deliver exactly
-  // the requested byte count.
-  Fixture f;
-  PageLoader loader(f.tb.sim(), f.session, {1, 5 * 1024 * 1024});
-  loader.start();
-  ASSERT_TRUE(f.tb.run_until([&] { return loader.finished(); }, seconds(60)));
-  EXPECT_EQ(loader.result().objects[0].bytes_received, 5u * 1024 * 1024);
-}
-
-TEST(ObjectService, ServiceDelayDefersFirstByte) {
-  Fixture f;
-  f.server.service().set_service_delay(milliseconds(500), milliseconds(500),
-                                       1);
-  PageLoader loader(f.tb.sim(), f.session, {1, 1000});
-  loader.start();
-  ASSERT_TRUE(f.tb.run_until([&] { return loader.finished(); }, seconds(30)));
-  const auto& obj = loader.result().objects[0];
-  EXPECT_GE(to_seconds(obj.first_byte - obj.issued), 0.5);
-}
-
-TEST(PageLoader, ResourceTimingsAreOrderedAndComplete) {
-  Fixture f;
-  PageLoader loader(f.tb.sim(), f.session, {10, 5000});
-  bool done_cb = false;
-  loader.start([&](const PageLoadResult& r) {
-    done_cb = true;
-    EXPECT_TRUE(r.complete);
-  });
-  ASSERT_TRUE(f.tb.run_until([&] { return loader.finished(); }, seconds(30)));
-  EXPECT_TRUE(done_cb);
-  const PageLoadResult& r = loader.result();
-  EXPECT_EQ(r.objects.size(), 10u);
-  for (const auto& obj : r.objects) {
-    EXPECT_TRUE(obj.done);
-    EXPECT_LE(obj.issued.time_since_epoch().count(),
-              obj.first_byte.time_since_epoch().count());
-    EXPECT_LE(obj.first_byte.time_since_epoch().count(),
-              obj.complete.time_since_epoch().count());
-    EXPECT_LE(obj.complete, r.finished);
-  }
-  EXPECT_EQ(r.plt, r.finished - r.started);
-}
-
-TEST(PageLoader, QueuesBeyondStreamLimit) {
-  harness::Scenario scenario;
-  harness::Testbed tb{scenario};
-  quic::QuicConfig cfg;
-  cfg.max_streams = 4;  // MSPC 4: 12 objects need three waves
-  QuicObjectServer server{tb.sim(), tb.server_host(), harness::kQuicPort, cfg};
-  quic::TokenCache tokens;
-  QuicClientSession session{
-      tb.sim(), tb.client_host(), tb.server_host().address(),
-      harness::kQuicPort, cfg, tokens};
-  PageLoader loader(tb.sim(), session, {12, 2000});
-  loader.start();
-  ASSERT_TRUE(tb.run_until([&] { return loader.finished(); }, seconds(30)));
-  for (const auto& obj : loader.result().objects) {
-    EXPECT_EQ(obj.bytes_received, 2000u);
-  }
 }
 
 }  // namespace

@@ -10,8 +10,8 @@
 #include "harness/testbed.h"
 #include "http/h2_session.h"
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "http/quic_session.h"
+#include "workload/executor.h"
 
 namespace longlook {
 namespace {
@@ -140,50 +140,41 @@ struct Impairment {
 
 class ReliabilitySweep : public ::testing::TestWithParam<Impairment> {};
 
-TEST_P(ReliabilitySweep, QuicDeliversEveryByteExactlyOnce) {
-  const Impairment& imp = GetParam();
+// Loads 5 x 200 KiB over one stack under `imp`: the load must finish and
+// every object must arrive whole, exactly once.
+template <typename Server, typename Session, typename... Tokens>
+void expect_every_byte_once(const Impairment& imp, std::uint64_t seed,
+                            Port port, Tokens&... tokens) {
   Scenario s;
   s.rate_bps = 10'000'000;
   s.loss_rate = imp.loss;
   s.jitter = imp.jitter;
   s.reorder_prob = imp.reorder;
   s.buffer_bytes = imp.buffer;
-  s.seed = 1234;
+  s.seed = seed;
   Testbed tb(s);
-  http::QuicObjectServer server(tb.sim(), tb.server_host(), kQuicPort, {});
-  quic::TokenCache tokens;
-  http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                  tb.server_host().address(), kQuicPort, {},
-                                  tokens);
-  http::PageLoader loader(tb.sim(), session, {5, 200 * 1024});
+  Server server(tb.sim(), tb.server_host(), port, {});
+  Session session(tb.sim(), tb.client_host(), tb.server_host().address(),
+                  port, {}, tokens...);
+  workload::ScenarioRunner loader(tb.sim(), session,
+                                  workload::page_scenario({5, 200 * 1024}));
   loader.start();
   ASSERT_TRUE(tb.run_until([&] { return loader.finished(); }, seconds(600)))
       << "stalled under " << imp.name;
-  for (const auto& obj : loader.result().objects) {
-    EXPECT_EQ(obj.bytes_received, 200u * 1024) << imp.name;
+  for (const auto& obj : loader.result().detail) {
+    EXPECT_EQ(obj.download_bytes, 200u * 1024) << imp.name;
   }
 }
 
+TEST_P(ReliabilitySweep, QuicDeliversEveryByteExactlyOnce) {
+  quic::TokenCache tokens;
+  expect_every_byte_once<http::QuicObjectServer, http::QuicClientSession>(
+      GetParam(), 1234, kQuicPort, tokens);
+}
+
 TEST_P(ReliabilitySweep, TcpDeliversEveryByteExactlyOnce) {
-  const Impairment& imp = GetParam();
-  Scenario s;
-  s.rate_bps = 10'000'000;
-  s.loss_rate = imp.loss;
-  s.jitter = imp.jitter;
-  s.reorder_prob = imp.reorder;
-  s.buffer_bytes = imp.buffer;
-  s.seed = 4321;
-  Testbed tb(s);
-  http::TcpObjectServer server(tb.sim(), tb.server_host(), kTcpPort, {});
-  http::H2ClientSession session(tb.sim(), tb.client_host(),
-                                tb.server_host().address(), kTcpPort, {});
-  http::PageLoader loader(tb.sim(), session, {5, 200 * 1024});
-  loader.start();
-  ASSERT_TRUE(tb.run_until([&] { return loader.finished(); }, seconds(600)))
-      << "stalled under " << imp.name;
-  for (const auto& obj : loader.result().objects) {
-    EXPECT_EQ(obj.bytes_received, 200u * 1024) << imp.name;
-  }
+  expect_every_byte_once<http::TcpObjectServer, http::H2ClientSession>(
+      GetParam(), 4321, kTcpPort);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,10 +7,10 @@
 #include "harness/testbed.h"
 #include "http/h2_session.h"
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "http/quic_session.h"
 #include "proxy/quic_proxy.h"
 #include "proxy/tcp_proxy.h"
+#include "workload/executor.h"
 
 namespace longlook {
 namespace {
@@ -26,16 +26,17 @@ std::optional<double> proxied_tcp_load(const Scenario& scenario,
                         tb.server_host().address(), kTcpPort, {});
   http::H2ClientSession session(tb.sim(), tb.client_host(),
                                 tb.mid_host().address(), kProxyPort, {});
-  http::PageLoader loader(tb.sim(), session, {objects, bytes});
+  workload::ScenarioRunner loader(tb.sim(), session,
+                                  workload::page_scenario({objects, bytes}));
   loader.start();
   const bool done =
       tb.run_until([&] { return loader.finished(); }, seconds(120));
   if (served != nullptr) *served = server.service().requests_served();
   if (!done) return std::nullopt;
-  for (const auto& obj : loader.result().objects) {
-    EXPECT_EQ(obj.bytes_received, bytes);
+  for (const auto& obj : loader.result().detail) {
+    EXPECT_EQ(obj.download_bytes, bytes);
   }
-  return to_seconds(loader.result().plt);
+  return to_seconds(loader.result().duration);
 }
 
 std::optional<double> proxied_quic_load(const Scenario& scenario,
@@ -49,15 +50,16 @@ std::optional<double> proxied_quic_load(const Scenario& scenario,
   http::QuicClientSession session(tb.sim(), tb.client_host(),
                                   tb.mid_host().address(), kProxyPort, {},
                                   tokens);
-  http::PageLoader loader(tb.sim(), session, {objects, bytes});
+  workload::ScenarioRunner loader(tb.sim(), session,
+                                  workload::page_scenario({objects, bytes}));
   loader.start();
   const bool done =
       tb.run_until([&] { return loader.finished(); }, seconds(120));
   if (!done) return std::nullopt;
-  for (const auto& obj : loader.result().objects) {
-    EXPECT_EQ(obj.bytes_received, bytes);
+  for (const auto& obj : loader.result().detail) {
+    EXPECT_EQ(obj.download_bytes, bytes);
   }
-  return to_seconds(loader.result().plt);
+  return to_seconds(loader.result().duration);
 }
 
 TEST(TcpProxy, RelaysSingleObjectIntact) {

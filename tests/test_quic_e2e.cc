@@ -6,8 +6,8 @@
 #include "harness/compare.h"
 #include "harness/testbed.h"
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "http/quic_session.h"
+#include "workload/executor.h"
 
 namespace longlook {
 namespace {
@@ -23,7 +23,7 @@ struct QuicRun {
   std::uint64_t spurious = 0;
   std::size_t server_cwnd = 0;
   CcState final_server_state = CcState::kInit;
-  http::PageLoadResult page;
+  workload::ScenarioResult page;
 };
 
 QuicRun run_quic(const Scenario& scenario, std::size_t objects,
@@ -36,14 +36,15 @@ QuicRun run_quic(const Scenario& scenario, std::size_t objects,
   http::QuicClientSession session(tb.sim(), tb.client_host(),
                                   tb.server_host().address(),
                                   harness::kQuicPort, config, tokens);
-  http::PageLoader loader(tb.sim(), session, {objects, bytes});
+  workload::ScenarioRunner loader(tb.sim(), session,
+                                  workload::page_scenario({objects, bytes}));
   loader.start();
   const bool done =
       tb.run_until([&] { return loader.finished(); }, timeout);
 
   QuicRun out;
   out.page = loader.result();
-  if (done) out.plt_s = to_seconds(loader.result().plt);
+  if (done) out.plt_s = to_seconds(loader.result().duration);
   out.cid = session.connection().connection_id();
   out.handshake_rtts = session.connection().stats().handshake_round_trips;
   if (auto* sc = server.server().latest_connection()) {
@@ -63,7 +64,7 @@ TEST(QuicE2E, SingleSmallObjectCompletes) {
   ASSERT_TRUE(run.plt_s.has_value());
   // 36 ms RTT, 1-RTT handshake (fresh token), small body: well under 1 s.
   EXPECT_LT(*run.plt_s, 1.0);
-  EXPECT_EQ(run.page.objects[0].bytes_received, 10 * 1024u);
+  EXPECT_EQ(run.page.detail[0].download_bytes, 10 * 1024u);
 }
 
 TEST(QuicE2E, FirstConnectionPaysOneRttResumptionZero) {
@@ -100,8 +101,8 @@ TEST(QuicE2E, MultiplexesManyObjectsWithoutHolBlocking) {
   quic::TokenCache tokens;
   const QuicRun run = run_quic(s, 50, 20 * 1024, {}, tokens);
   ASSERT_TRUE(run.plt_s.has_value());
-  for (const auto& obj : run.page.objects) {
-    EXPECT_EQ(obj.bytes_received, 20 * 1024u);
+  for (const auto& obj : run.page.detail) {
+    EXPECT_EQ(obj.download_bytes, 20 * 1024u);
   }
 }
 
@@ -112,7 +113,7 @@ TEST(QuicE2E, RecoversFromHeavyLoss) {
   quic::TokenCache tokens;
   const QuicRun run = run_quic(s, 1, 1024 * 1024, {}, tokens);
   ASSERT_TRUE(run.plt_s.has_value());
-  EXPECT_EQ(run.page.objects[0].bytes_received, 1024 * 1024u);
+  EXPECT_EQ(run.page.detail[0].download_bytes, 1024 * 1024u);
   EXPECT_GT(run.packets_lost, 0u);
 }
 

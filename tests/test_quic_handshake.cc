@@ -5,13 +5,15 @@
 
 #include "harness/testbed.h"
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "http/quic_session.h"
+#include "workload/executor.h"
 
 namespace longlook {
 namespace {
 
 using namespace longlook::harness;
+using workload::page_scenario;
+using workload::ScenarioRunner;
 
 struct Fixture {
   Scenario scenario;
@@ -29,12 +31,12 @@ struct Fixture {
     http::QuicClientSession session(tb->sim(), tb->client_host(),
                                     tb->server_host().address(), kQuicPort,
                                     cfg, tokens);
-    http::PageLoader loader(tb->sim(), session, {objects, bytes});
+    ScenarioRunner loader(tb->sim(), session, page_scenario({objects, bytes}));
     loader.start();
     if (!tb->run_until([&] { return loader.finished(); }, seconds(120))) {
       return std::nullopt;
     }
-    return to_seconds(loader.result().plt);
+    return to_seconds(loader.result().duration);
   }
 };
 
@@ -98,7 +100,7 @@ TEST(QuicHandshake, NoDataLeavesBeforeHandshakePermitsIt) {
   http::QuicClientSession session(f.tb->sim(), f.tb->client_host(),
                                   f.tb->server_host().address(), kQuicPort,
                                   {}, f.tokens);
-  http::PageLoader loader(f.tb->sim(), session, {1, 1024});
+  ScenarioRunner loader(f.tb->sim(), session, page_scenario({1, 1024}));
   loader.start();
   f.tb->sim().run_until(TimePoint{} + milliseconds(30));
   auto* sc = f.server->server().latest_connection();
@@ -114,7 +116,7 @@ TEST(QuicHandshake, ZeroRttDataArrivesWithFirstFlight) {
   http::QuicClientSession session(f.tb->sim(), f.tb->client_host(),
                                   f.tb->server_host().address(), kQuicPort,
                                   {}, f.tokens);
-  http::PageLoader loader(f.tb->sim(), session, {1, 1024});
+  ScenarioRunner loader(f.tb->sim(), session, page_scenario({1, 1024}));
   const TimePoint start = f.tb->sim().now();
   loader.start();
   ASSERT_TRUE(f.tb->run_until([&] { return loader.finished(); }, seconds(10)));
@@ -141,7 +143,8 @@ TEST(QuicConnectionApi, CloseStopsTraffic) {
   http::QuicClientSession session(f.tb->sim(), f.tb->client_host(),
                                   f.tb->server_host().address(), kQuicPort,
                                   {}, f.tokens);
-  http::PageLoader loader(f.tb->sim(), session, {1, 10 * 1024 * 1024});
+  ScenarioRunner loader(f.tb->sim(), session,
+                        page_scenario({1, 10 * 1024 * 1024}));
   loader.start();
   f.tb->sim().run_until(TimePoint{} + milliseconds(200));
   session.connection().close();
@@ -167,11 +170,11 @@ TEST(QuicConnectionApi, DuplicatePacketsDoNotDuplicateData) {
   http::QuicClientSession session(f.tb->sim(), f.tb->client_host(),
                                   f.tb->server_host().address(), kQuicPort,
                                   {}, f.tokens);
-  http::PageLoader loader(f.tb->sim(), session, {3, 50 * 1024});
+  ScenarioRunner loader(f.tb->sim(), session, page_scenario({3, 50 * 1024}));
   loader.start();
   ASSERT_TRUE(f.tb->run_until([&] { return loader.finished(); }, seconds(300)));
-  for (const auto& obj : loader.result().objects) {
-    EXPECT_EQ(obj.bytes_received, 50u * 1024);  // exactly once, no more
+  for (const auto& obj : loader.result().detail) {
+    EXPECT_EQ(obj.download_bytes, 50u * 1024);  // exactly once, no more
   }
 }
 

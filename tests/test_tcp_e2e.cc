@@ -7,7 +7,7 @@
 #include "harness/testbed.h"
 #include "http/h2_session.h"
 #include "http/object_service.h"
-#include "http/page_loader.h"
+#include "workload/executor.h"
 
 namespace longlook {
 namespace {
@@ -20,7 +20,7 @@ struct TcpRun {
   tcp::TcpStats client_stats;
   tcp::TcpStats server_stats;
   std::size_t server_dupthresh = 3;
-  http::PageLoadResult page;
+  workload::ScenarioResult page;
 };
 
 TcpRun run_tcp(const Scenario& scenario, std::size_t objects,
@@ -32,13 +32,14 @@ TcpRun run_tcp(const Scenario& scenario, std::size_t objects,
   http::H2ClientSession session(tb.sim(), tb.client_host(),
                                 tb.server_host().address(), harness::kTcpPort,
                                 config);
-  http::PageLoader loader(tb.sim(), session, {objects, bytes});
+  workload::ScenarioRunner loader(tb.sim(), session,
+                                  workload::page_scenario({objects, bytes}));
   loader.start();
   const bool done = tb.run_until([&] { return loader.finished(); }, timeout);
 
   TcpRun out;
   out.page = loader.result();
-  if (done) out.plt_s = to_seconds(loader.result().plt);
+  if (done) out.plt_s = to_seconds(loader.result().duration);
   out.client_stats = session.connection().stats();
   if (auto* sc = server.server().latest_connection()) {
     out.server_stats = sc->stats();
@@ -52,7 +53,7 @@ TEST(TcpE2E, SingleSmallObjectCompletes) {
   s.rate_bps = 10'000'000;
   const TcpRun run = run_tcp(s, 1, 10 * 1024);
   ASSERT_TRUE(run.plt_s.has_value());
-  EXPECT_EQ(run.page.objects[0].bytes_received, 10 * 1024u);
+  EXPECT_EQ(run.page.detail[0].download_bytes, 10 * 1024u);
   // TCP+TLS needs 3 round trips (~108 ms) before the request leaves.
   EXPECT_GT(*run.plt_s, 0.1);
   EXPECT_LT(*run.plt_s, 1.0);
@@ -97,7 +98,7 @@ TEST(TcpE2E, RecoversFromLoss) {
   s.loss_rate = 0.02;
   const TcpRun run = run_tcp(s, 1, 1024 * 1024);
   ASSERT_TRUE(run.plt_s.has_value());
-  EXPECT_EQ(run.page.objects[0].bytes_received, 1024 * 1024u);
+  EXPECT_EQ(run.page.detail[0].download_bytes, 1024 * 1024u);
   EXPECT_GT(run.server_stats.retransmitted_segments, 0u);
 }
 
@@ -115,7 +116,8 @@ TEST(TcpE2E, SendBufferHoldsOnlyUnacknowledgedBytes) {
   http::H2ClientSession session(tb.sim(), tb.client_host(),
                                 tb.server_host().address(), harness::kTcpPort,
                                 tcp::TcpConfig{});
-  http::PageLoader loader(tb.sim(), session, {1, kBytes});
+  workload::ScenarioRunner loader(tb.sim(), session,
+                                  workload::page_scenario({1, kBytes}));
   loader.start();
   std::size_t peak = 0;
   const bool done = tb.run_until(
@@ -127,7 +129,7 @@ TEST(TcpE2E, SendBufferHoldsOnlyUnacknowledgedBytes) {
       },
       seconds(120));
   ASSERT_TRUE(done);
-  EXPECT_EQ(loader.result().objects[0].bytes_received, kBytes);
+  EXPECT_EQ(loader.result().detail[0].download_bytes, kBytes);
   const auto* sc = server.server().latest_connection();
   ASSERT_NE(sc, nullptr);
   EXPECT_GT(sc->stats().retransmitted_segments, 0u);
@@ -141,8 +143,8 @@ TEST(TcpE2E, MultipleObjectsShareOneConnection) {
   s.rate_bps = 20'000'000;
   const TcpRun run = run_tcp(s, 20, 50 * 1024);
   ASSERT_TRUE(run.plt_s.has_value());
-  for (const auto& obj : run.page.objects) {
-    EXPECT_EQ(obj.bytes_received, 50 * 1024u);
+  for (const auto& obj : run.page.detail) {
+    EXPECT_EQ(obj.download_bytes, 50 * 1024u);
   }
   // HTTP/2 over TCP: exactly one connection on the server.
 }
@@ -180,7 +182,7 @@ TEST(TcpE2E, SurvivesBlackoutViaRto) {
   s.loss_rate = 0.30;  // brutal loss: forces RTO paths, must still finish
   const TcpRun run = run_tcp(s, 1, 200 * 1024, {}, seconds(600));
   ASSERT_TRUE(run.plt_s.has_value());
-  EXPECT_EQ(run.page.objects[0].bytes_received, 200 * 1024u);
+  EXPECT_EQ(run.page.detail[0].download_bytes, 200 * 1024u);
 }
 
 }  // namespace

@@ -5,9 +5,9 @@
 
 #include "harness/testbed.h"
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "http/quic_session.h"
 #include "net/trace.h"
+#include "workload/executor.h"
 
 namespace longlook {
 namespace {
@@ -101,7 +101,8 @@ TEST(PacketTrace, AuditsAFullQuicTransfer) {
                                   tb.server_host().address(),
                                   harness::kQuicPort, quic::QuicConfig{},
                                   tokens);
-  http::PageLoader loader(tb.sim(), session, {1, 1024 * 1024});
+  workload::ScenarioRunner loader(tb.sim(), session,
+                                  workload::page_scenario({1, 1024 * 1024}));
   loader.start();
   ASSERT_TRUE(tb.run_until([&] { return loader.finished(); }, seconds(60)));
   const TraceSummary sum = down_trace.summarize();

@@ -3,11 +3,12 @@
 // property, the PRF request handling in ObjectService (including the
 // exactly-once response regression), and the ScenarioRunner executor over
 // both real stacks and a synchronous fake session (completion-inside-
-// callback reentrancy), and the page-load/page-entry driver equivalence the
-// harness run path rests on.
+// callback reentrancy, failed stream opens), page loads (resource timings,
+// stream-limit queueing, the object service's GET handling), and the frozen
+// PLT and work of page loads that the harness run path rests on.
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,7 +17,6 @@
 #include "harness/perf.h"
 #include "harness/testbed.h"
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "http/quic_session.h"
 #include "obs/profiler.h"
 #include "util/rng.h"
@@ -179,6 +179,14 @@ TEST(ScenarioRoundTrip, NamedPageRefsSurviveFormatting) {
   EXPECT_EQ(*again.spec, *r.spec);
 }
 
+TEST(ScenarioRoundTrip, PageScenarioIsTheOneEntryPageLoad) {
+  const ScenarioSpec spec = page_scenario({10, 10240});
+  EXPECT_EQ(spec.format(), "*1:0:-:page=10x10240;");
+  const ParseResult r = parse_scenario(spec.format());
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(*r.spec, spec);
+}
+
 }  // namespace
 }  // namespace longlook::workload
 
@@ -274,28 +282,6 @@ TEST(ObjectServicePerf, ZeroUploadRespondsAtFin) {
   EXPECT_EQ(stream.bytes_written, 7u);
 }
 
-// --- PageLoader hardening ---------------------------------------------------
-
-// A session that advertises capacity but cannot open streams: the loader
-// must bail out of its issue loop instead of spinning (pre-fix: infinite
-// loop in issue_requests).
-class StuckSession : public ClientSession {
- public:
-  void connect(std::function<void()> on_ready) override { on_ready(); }
-  AppStream* open_stream() override { return nullptr; }
-  bool can_open_stream() const override { return true; }
-  void flush() override {}
-  const char* protocol_name() const override { return "stuck"; }
-};
-
-TEST(PageLoaderHardening, NullStreamWithFreeSlotDoesNotSpin) {
-  Simulator sim;
-  StuckSession session;
-  PageLoader loader(sim, session, {3, 100});
-  loader.start();  // pre-fix: never returns
-  EXPECT_FALSE(loader.finished());
-}
-
 }  // namespace
 }  // namespace longlook::http
 
@@ -363,20 +349,60 @@ TEST(ScenarioRunnerReentrancy, DependentEntryStartsExactlyOnce) {
   EXPECT_EQ(runner.result().transactions, 5u);
 }
 
+// A session that advertises a free slot but fails its first `failures`
+// opens (transport not ready), then opens EchoStreams.
+class StuckSession : public EchoSession {
+ public:
+  explicit StuckSession(int failures) : failures_(failures) {}
+  http::AppStream* open_stream() override {
+    if (failures_ == 0) return EchoSession::open_stream();
+    --failures_;
+    return nullptr;
+  }
+
+ private:
+  int failures_ = 0;
+};
+
+TEST(ScenarioRunnerHardening, NullStreamWithFreeSlotDoesNotSpin) {
+  // Every open fails: start() must return (pre-fix: infinite issue loop)
+  // with nothing issued.
+  Simulator sim;
+  StuckSession stuck(/*failures=*/1000);
+  ScenarioRunner runner(sim, stuck, page_scenario({3, 100}));
+  runner.start();
+  EXPECT_FALSE(runner.finished());
+  EXPECT_TRUE(runner.result().detail.empty());
+
+  // One open fails: that request stays queued, so the next pump (the second
+  // entry's start) issues the whole page in object order and completes.
+  StuckSession once(/*failures=*/1);
+  const ParseResult r = parse_scenario("*1:0:-:page=3x100;*1:1:-:0:1;");
+  ASSERT_TRUE(r.ok()) << r.error;
+  ScenarioRunner recovered(sim, once, *r.spec);
+  recovered.start();
+  ASSERT_TRUE(recovered.finished());
+  const std::vector<TransactionTiming>& d = recovered.result().detail;
+  ASSERT_EQ(d.size(), 4u);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(d[i].stream_id, 0u);
+    EXPECT_EQ(d[i].object_index, i);
+  }
+}
+
 // --- Executor over the real stacks ------------------------------------------
 
 struct QuicFixture {
+  explicit QuicFixture(const quic::QuicConfig& config = {})
+      : server(tb.sim(), tb.server_host(), harness::kQuicPort, config),
+        session(tb.sim(), tb.client_host(), tb.server_host().address(),
+                harness::kQuicPort, config, tokens) {}
+
   harness::Scenario scenario;
   harness::Testbed tb{scenario};
-  http::QuicObjectServer server{tb.sim(), tb.server_host(),
-                                harness::kQuicPort, quic::QuicConfig{}};
+  http::QuicObjectServer server;
   quic::TokenCache tokens;
-  http::QuicClientSession session{tb.sim(),
-                                  tb.client_host(),
-                                  tb.server_host().address(),
-                                  harness::kQuicPort,
-                                  quic::QuicConfig{},
-                                  tokens};
+  http::QuicClientSession session;
 };
 
 TEST(ScenarioRunnerQuic, DependentStreamWaitsForParent) {
@@ -428,6 +454,87 @@ TEST(ScenarioRunnerQuic, PageEntryFetchesWholeGraph) {
   EXPECT_EQ(f.server.service().requests_served(), 3u);
 }
 
+// The object service's GET handling, driven by one-object page loads.
+TEST(ObjectService, ServesRequestedSize) {
+  QuicFixture f;
+  ScenarioRunner loader(f.tb.sim(), f.session, page_scenario({1, 123456}));
+  loader.start();
+  ASSERT_TRUE(f.tb.run_until([&] { return loader.finished(); }, seconds(30)));
+  EXPECT_EQ(loader.result().detail[0].download_bytes, 123456u);
+  EXPECT_EQ(f.server.service().requests_served(), 1u);
+}
+
+TEST(ObjectService, ZeroByteObject) {
+  QuicFixture f;
+  ScenarioRunner loader(f.tb.sim(), f.session, page_scenario({1, 0}));
+  loader.start();
+  ASSERT_TRUE(f.tb.run_until([&] { return loader.finished(); }, seconds(30)));
+  EXPECT_EQ(loader.result().detail[0].download_bytes, 0u);
+}
+
+TEST(ObjectService, LargeObjectServedIncrementally) {
+  // Above the chunking threshold: the pump path must still deliver exactly
+  // the requested byte count.
+  QuicFixture f;
+  ScenarioRunner loader(f.tb.sim(), f.session,
+                        page_scenario({1, 5 * 1024 * 1024}));
+  loader.start();
+  ASSERT_TRUE(f.tb.run_until([&] { return loader.finished(); }, seconds(60)));
+  EXPECT_EQ(loader.result().detail[0].download_bytes, 5u * 1024 * 1024);
+}
+
+TEST(ObjectService, ServiceDelayDefersFirstByte) {
+  QuicFixture f;
+  f.server.service().set_service_delay(milliseconds(500), milliseconds(500),
+                                       1);
+  ScenarioRunner loader(f.tb.sim(), f.session, page_scenario({1, 1000}));
+  loader.start();
+  ASSERT_TRUE(f.tb.run_until([&] { return loader.finished(); }, seconds(30)));
+  const TransactionTiming& obj = loader.result().detail[0];
+  EXPECT_GE(to_seconds(obj.first_byte - obj.issued), 0.5);
+}
+
+TEST(ScenarioRunnerPage, ResourceTimingsAreOrderedAndComplete) {
+  QuicFixture f;
+  ScenarioRunner runner(f.tb.sim(), f.session, page_scenario({10, 5000}));
+  bool done_cb = false;
+  runner.start([&](const ScenarioResult& r) {
+    done_cb = true;
+    EXPECT_TRUE(r.complete);
+  });
+  ASSERT_TRUE(f.tb.run_until([&] { return runner.finished(); }, seconds(30)));
+  EXPECT_TRUE(done_cb);
+  const ScenarioResult& r = runner.result();
+  ASSERT_EQ(r.detail.size(), 10u);
+  for (std::size_t i = 0; i < r.detail.size(); ++i) {
+    const TransactionTiming& obj = r.detail[i];
+    EXPECT_EQ(obj.object_index, i);  // issue order is object order
+    EXPECT_TRUE(obj.done);
+    EXPECT_EQ(obj.download_bytes, 5000u);
+    EXPECT_LE(obj.issued, obj.first_byte);
+    EXPECT_LE(obj.first_byte, obj.completed);
+    EXPECT_LE(obj.completed, r.finished);
+  }
+  EXPECT_EQ(r.duration, r.finished - r.started);
+}
+
+TEST(ScenarioRunnerPage, QueuesBeyondStreamLimit) {
+  quic::QuicConfig cfg;
+  cfg.max_streams = 4;  // MSPC 4: 12 objects need three waves
+  QuicFixture f(cfg);
+  ScenarioRunner runner(f.tb.sim(), f.session, page_scenario({12, 2000}));
+  runner.start();
+  ASSERT_TRUE(f.tb.run_until([&] { return runner.finished(); }, seconds(30)));
+  const std::vector<TransactionTiming>& d = runner.result().detail;
+  ASSERT_EQ(d.size(), 12u);
+  for (const TransactionTiming& obj : d) {
+    EXPECT_EQ(obj.download_bytes, 2000u);
+  }
+  // The fifth request waited for a slot to free up.
+  EXPECT_GE(d[4].issued, std::min({d[0].completed, d[1].completed,
+                                   d[2].completed, d[3].completed}));
+}
+
 // --- Harness scenario path ---------------------------------------------------
 
 TEST(HarnessScenario, QuicAndTcpRunsComplete) {
@@ -451,54 +558,70 @@ TEST(HarnessScenario, QuicAndTcpRunsComplete) {
 
 // --- Page loads as page entries --------------------------------------------
 
-// Simulator work of one run, under the profiler's counter names.
-using WorkCounts = std::map<std::string, std::uint64_t>;
+// A run's simulator work: sim_events, timer_ops, sim_event_pool_slots,
+// sim_callback_heap, packets_forwarded and bytes_moved, in that order.
+using Work = std::vector<std::uint64_t>;
 
-WorkCounts profiled_work(const obs::Profiler& prof) {
+Work profiled_work(const obs::Profiler& prof) {
   const obs::ProfilerSnapshot snap = prof.snapshot();
-  WorkCounts out;
+  Work out;
   for (const char* key :
        {"sim_events", "timer_ops", "sim_event_pool_slots",
         "sim_callback_heap", "packets_forwarded", "bytes_moved"}) {
-    out[key] = snap.counter(key);
+    out.push_back(snap.counter(key));
   }
   return out;
 }
 
-// The reference: `page` fetched by http::PageLoader over a hand-built
-// testbed. Returns its PLT and work, read off the simulator and links.
-std::pair<double, WorkCounts> page_loader_run(harness::Testbed& tb,
-                                              http::ClientSession& session,
-                                              const harness::Workload& page) {
-  http::PageLoader loader(tb.sim(), session,
-                          {page.object_count, page.object_bytes});
-  loader.start();
-  EXPECT_TRUE(tb.run_until([&] { return loader.finished(); }, seconds(600)));
-  const LinkStats& up = tb.uplink().stats();
-  const LinkStats& down = tb.downlink().stats();
-  return {to_seconds(loader.result().plt),
-          {{"sim_events", tb.sim().dispatched_events()},
-           {"timer_ops", tb.sim().timer_ops()},
-           {"sim_event_pool_slots", tb.sim().event_pool_slots()},
-           {"sim_callback_heap", tb.sim().callback_heap_allocs()},
-           {"packets_forwarded", up.delivered + down.delivered},
-           {"bytes_moved", static_cast<std::uint64_t>(up.bytes_delivered +
-                                                      down.bytes_delivered)}}};
+// `page` as a page entry over a hand-built testbed (the harness's wiring,
+// spelled out): its PLT in ns and its work, folded as the harness folds it.
+template <typename Server, typename Session, typename... Tokens>
+std::pair<std::int64_t, Work> hand_built_run(const harness::Scenario& net,
+                                             const harness::Workload& page,
+                                             Port port, const auto& config,
+                                             Tokens&... tokens) {
+  harness::Testbed tb(net);
+  Server server(tb.sim(), tb.server_host(), port, config);
+  Session session(tb.sim(), tb.client_host(), tb.server_host().address(),
+                  port, config, tokens...);
+  ScenarioRunner runner(tb.sim(), session, page_scenario(page));
+  runner.start();
+  EXPECT_TRUE(tb.run_until([&] { return runner.finished(); }, seconds(600)));
+  obs::Profiler prof;
+  harness::fold_profile_counters(&prof, tb);
+  return {runner.result().duration.count(), profiled_work(prof)};
 }
 
-// A harness page load, the same page as a `page=NxB` scenario entry, and
-// the http::PageLoader reference are one run: identical PLT and identical
-// simulator work, on clean and lossy paths, for pages narrower and wider
-// than the stream limit.
+// A harness page load, the same page as a `page=NxB` scenario entry, and a
+// hand-built page-entry run are one run, on clean and lossy paths, for
+// pages narrower and wider than the stream limit. All three reproduce the
+// frozen PLT and work below, recorded from the standalone page loader that
+// page entries replaced (same requests, same stream-limit queueing): any
+// drift means the page-load path changed behaviour.
 TEST(HarnessScenario, PageLoadMatchesPageEntryRun) {
   struct Case {
     double loss = 0;
     std::size_t objects = 0;
     std::size_t bytes = 0;
+    std::int64_t quic_plt_ns = 0;
+    Work quic_work;
+    std::int64_t tcp_plt_ns = 0;
+    Work tcp_work;
   };
-  const Case cases[] = {{0.0, 1, 5 * 1024},    {0.0, 10, 100 * 1024},
-                        {0.0, 200, 10 * 1024}, {0.01, 1, 5 * 1024},
-                        {0.01, 10, 100 * 1024}, {0.01, 200, 10 * 1024}};
+  const Case cases[] = {
+      {0.0, 1, 5 * 1024, 36059989, {26, 44, 8, 0, 5, 5472},
+       144185956, {71, 153, 11, 0, 15, 11085}},
+      {0.0, 10, 100 * 1024, 875993640, {7517, 11435, 68, 0, 1176, 1097032},
+       1022374812, {5419, 7833, 67, 0, 1097, 1099422}},
+      {0.0, 200, 10 * 1024, 1746216610, {15998, 26225, 132, 0, 2606, 2217786},
+       1885145825, {11674, 23695, 116, 0, 2365, 2208649}},
+      {0.01, 1, 5 * 1024, 36059989, {26, 44, 8, 0, 5, 5472},
+       144185956, {71, 153, 11, 0, 15, 11085}},
+      {0.01, 10, 100 * 1024, 920061730, {9060, 13179, 68, 0, 1477, 1128559},
+       1107329855, {6278, 9042, 116, 0, 1272, 1115991}},
+      {0.01, 200, 10 * 1024, 1774751464, {19983, 31120, 132, 0, 3256, 2285939},
+       2257286935, {13639, 25518, 116, 0, 2809, 2248683}},
+  };
   for (const Case& c : cases) {
     harness::Scenario net;
     net.rate_bps = 10'000'000;
@@ -518,17 +641,10 @@ TEST(HarnessScenario, PageLoadMatchesPageEntryRun) {
     (void)harness::run_quic_page_load(net, {1, 1024}, opts, warm);
 
     // QUIC, every run from the same post-warm token cache.
-    std::pair<double, WorkCounts> q_ref;
-    {
-      quic::TokenCache tokens = warm;
-      harness::Testbed tb(net);
-      http::QuicObjectServer server(tb.sim(), tb.server_host(),
-                                    harness::kQuicPort, opts.quic);
-      http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                      tb.server_host().address(),
-                                      harness::kQuicPort, opts.quic, tokens);
-      q_ref = page_loader_run(tb, session, page);
-    }
+    quic::TokenCache hand_tokens = warm;
+    const auto q_hand =
+        hand_built_run<http::QuicObjectServer, http::QuicClientSession>(
+            net, page, harness::kQuicPort, opts.quic, hand_tokens);
     obs::Profiler load_prof;
     obs::Profiler entry_prof;
     opts.profiler = &load_prof;
@@ -540,22 +656,17 @@ TEST(HarnessScenario, PageLoadMatchesPageEntryRun) {
     const auto q_entry =
         harness::run_quic_scenario(net, *r.spec, opts, entry_tokens);
     ASSERT_TRUE(q_load && q_entry) << where;
-    EXPECT_EQ(*q_load, q_ref.first) << where;
-    EXPECT_EQ(q_entry->duration_s, q_ref.first) << where;
-    EXPECT_EQ(profiled_work(load_prof), q_ref.second) << where;
-    EXPECT_EQ(profiled_work(entry_prof), q_ref.second) << where;
+    const double quic_plt_s = to_seconds(Duration(c.quic_plt_ns));
+    EXPECT_EQ(q_hand, std::make_pair(c.quic_plt_ns, c.quic_work)) << where;
+    EXPECT_EQ(*q_load, quic_plt_s) << where;
+    EXPECT_EQ(q_entry->duration_s, quic_plt_s) << where;
+    EXPECT_EQ(profiled_work(load_prof), c.quic_work) << where;
+    EXPECT_EQ(profiled_work(entry_prof), c.quic_work) << where;
 
     // TCP.
-    std::pair<double, WorkCounts> t_ref;
-    {
-      harness::Testbed tb(net);
-      http::TcpObjectServer server(tb.sim(), tb.server_host(),
-                                   harness::kTcpPort, opts.tcp);
-      http::H2ClientSession session(tb.sim(), tb.client_host(),
-                                    tb.server_host().address(),
-                                    harness::kTcpPort, opts.tcp);
-      t_ref = page_loader_run(tb, session, page);
-    }
+    const auto t_hand =
+        hand_built_run<http::TcpObjectServer, http::H2ClientSession>(
+            net, page, harness::kTcpPort, opts.tcp);
     obs::Profiler tcp_load_prof;
     obs::Profiler tcp_entry_prof;
     opts.profiler = &tcp_load_prof;
@@ -563,10 +674,12 @@ TEST(HarnessScenario, PageLoadMatchesPageEntryRun) {
     opts.profiler = &tcp_entry_prof;
     const auto t_entry = harness::run_tcp_scenario(net, *r.spec, opts);
     ASSERT_TRUE(t_load && t_entry) << where;
-    EXPECT_EQ(*t_load, t_ref.first) << where;
-    EXPECT_EQ(t_entry->duration_s, t_ref.first) << where;
-    EXPECT_EQ(profiled_work(tcp_load_prof), t_ref.second) << where;
-    EXPECT_EQ(profiled_work(tcp_entry_prof), t_ref.second) << where;
+    const double tcp_plt_s = to_seconds(Duration(c.tcp_plt_ns));
+    EXPECT_EQ(t_hand, std::make_pair(c.tcp_plt_ns, c.tcp_work)) << where;
+    EXPECT_EQ(*t_load, tcp_plt_s) << where;
+    EXPECT_EQ(t_entry->duration_s, tcp_plt_s) << where;
+    EXPECT_EQ(profiled_work(tcp_load_prof), c.tcp_work) << where;
+    EXPECT_EQ(profiled_work(tcp_entry_prof), c.tcp_work) << where;
   }
 }
 
