@@ -134,16 +134,17 @@ QuicStream* QuicConnection::open_stream() {
 }
 
 bool QuicConnection::can_open_stream() const {
-  std::size_t active = 0;
-  for (const auto& [id, s] : streams_) {
-    if (stream_is_active(*s)) ++active;
-  }
-  return active < config_.max_streams;
+  // Predicates are evaluated on the streams' current state: a fin can
+  // complete inside an on_data callback that then asks this question.
+  std::erase_if(live_, [this](std::size_t i) {
+    return !stream_is_active(*send_order_[i]);
+  });
+  return live_.size() < config_.max_streams;
 }
 
 bool QuicConnection::stream_is_active(const QuicStream& s) const {
   // A stream stops counting against MSPC once both directions finished.
-  return !(s.receive_finished() && s.all_data_acked_sent());
+  return !s.receive_finished() || s.has_pending_data();
 }
 
 QuicStream& QuicConnection::get_or_create_stream(StreamId id) {
@@ -153,7 +154,10 @@ QuicStream& QuicConnection::get_or_create_stream(StreamId id) {
                                              config_.stream_window);
   QuicStream& ref = *stream;
   streams_.emplace(id, std::move(stream));
+  const std::size_t index = send_order_.size();
   send_order_.push_back(&ref);
+  live_.insert(index);
+  ref.set_on_sendable([this, index] { live_.insert(index); });
   if (trace() != nullptr) {
     trace()->record(obs::TraceEvent("quic:stream_opened", sim_.now())
                         .s("side", side())
@@ -472,7 +476,8 @@ bool QuicConnection::build_and_send_packet(bool ack_only_allowed) {
   // 0-RTT resumption, after the REJ round trip otherwise.
   const std::uint64_t conn_allowance = connection_send_allowance();
   bool have_data = false;
-  if (established_) for (QuicStream* s : send_order_) {
+  if (established_) for (std::size_t index : live_) {
+    const QuicStream* s = send_order_[index];
     if (!s->has_pending_data()) continue;
     if (s->blocked_by_stream_fc()) continue;
     // New data also needs connection-level credit.
@@ -557,37 +562,43 @@ bool QuicConnection::build_and_send_packet(bool ack_only_allowed) {
     pending_window_updates_.erase(pending_window_updates_.begin());
   }
 
-  // Stream data, round-robin across active streams (multiplexing).
-  if (!send_order_.empty()) {
-    const std::size_t n = send_order_.size();
-    for (std::size_t i = 0; i < n && budget > 24; ++i) {
-      rr_cursor_ = (rr_cursor_ + 1) % n;
-      QuicStream* s = send_order_[rr_cursor_];
-      if (!s->has_pending_data()) continue;
-      const std::size_t overhead =
-          stream_frame_overhead(s->id(), s->bytes_sent(), budget);
-      if (overhead + 1 > budget) continue;
-      const std::uint64_t allowance = connection_send_allowance();
-      auto chunk = s->take_chunk(budget - overhead, allowance);
-      if (!chunk) continue;
-      if (!chunk->is_retransmission) {
-        conn_bytes_sent_ += chunk->data.size();
-      }
-      StreamDataRef ref;
-      ref.stream_id = s->id();
-      ref.offset = chunk->offset;
-      ref.len = chunk->data.size();
-      ref.fin = chunk->fin;
-      refs.push_back(ref);
-      StreamFrame sf;
-      sf.stream_id = s->id();
-      sf.offset = chunk->offset;
-      sf.fin = chunk->fin;
-      sf.data = std::move(chunk->data);
-      const std::size_t used = frame_size(Frame{sf});
-      budget = used <= budget ? budget - used : 0;
-      pkt.frames.emplace_back(std::move(sf));
+  // Stream data, round-robin across live streams (multiplexing): each once,
+  // those after the cursor in send order first, then wrapping round to it.
+  // When the packet fills up, the cursor stays on the last stream visited.
+  auto it = live_.upper_bound(rr_cursor_);
+  for (std::size_t left = live_.size(); left > 0 && budget > 24; --left) {
+    if (it == live_.end()) it = live_.begin();
+    const std::size_t index = *it;
+    QuicStream* s = send_order_[index];
+    if (!s->has_pending_data()) {
+      it = stream_is_active(*s) ? std::next(it) : live_.erase(it);
+      continue;
     }
+    ++it;
+    const std::size_t overhead =
+        stream_frame_overhead(s->id(), s->bytes_sent(), budget);
+    if (overhead + 1 > budget) continue;
+    const std::uint64_t allowance = connection_send_allowance();
+    auto chunk = s->take_chunk(budget - overhead, allowance);
+    if (!chunk) continue;
+    if (!chunk->is_retransmission) {
+      conn_bytes_sent_ += chunk->data.size();
+    }
+    StreamDataRef ref;
+    ref.stream_id = s->id();
+    ref.offset = chunk->offset;
+    ref.len = chunk->data.size();
+    ref.fin = chunk->fin;
+    refs.push_back(ref);
+    StreamFrame sf;
+    sf.stream_id = s->id();
+    sf.offset = chunk->offset;
+    sf.fin = chunk->fin;
+    sf.data = std::move(chunk->data);
+    const std::size_t used = frame_size(Frame{sf});
+    budget = used <= budget ? budget - used : 0;
+    pkt.frames.emplace_back(std::move(sf));
+    if (budget <= 24) rr_cursor_ = index;
   }
 
   // The packet may have ended up pure-ACK (stream race): count it right.
@@ -607,10 +618,12 @@ Duration QuicConnection::ack_emission_cost() const {
   if (config_.ack_processing_per_active_stream <= kNoDuration) {
     return kNoDuration;
   }
-  std::int64_t receiving = 0;
-  for (const auto& [id, s] : streams_) {
-    if (s->receive_started() && !s->receive_finished()) ++receiving;
-  }
+  // Mid-receive streams are active, so all of them are live.
+  const auto receiving = std::count_if(
+      live_.begin(), live_.end(), [this](std::size_t i) {
+        const QuicStream& s = *send_order_[i];
+        return s.receive_started() && !s.receive_finished();
+      });
   return config_.ack_processing_per_active_stream * receiving;
 }
 
@@ -676,7 +689,8 @@ void QuicConnection::maybe_note_app_limited() {
     return;
   }
   const std::uint64_t conn_allowance = connection_send_allowance();
-  for (QuicStream* s : send_order_) {
+  for (std::size_t index : live_) {
+    const QuicStream* s = send_order_[index];
     if (!s->has_pending_data()) continue;
     const bool fc_blocked =
         !s->has_retransmission_data() &&

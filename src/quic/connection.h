@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "cc/bbr_lite.h"
@@ -137,6 +138,10 @@ class QuicConnection : public obs::Sampleable {
   std::size_t congestion_window() const { return cc_->congestion_window(); }
   std::size_t bytes_in_flight() const { return spm_.bytes_in_flight(); }
   QuicStream* stream(StreamId id);
+  // Streams the per-packet walks still visit: the active ones plus any
+  // finished ones not yet pruned. Stays near the number in flight however
+  // many streams the connection has opened.
+  std::size_t live_stream_count() const { return live_.size(); }
   const QuicConfig& config() const { return config_; }
   BbrLite* bbr() { return bbr_; }
 
@@ -219,11 +224,19 @@ class QuicConnection : public obs::Sampleable {
   // Streams.
   std::map<StreamId, std::unique_ptr<QuicStream>> streams_;
   StreamId next_stream_id_ = kFirstClientStreamId;
-  // Round-robin multiplexing order. Raw pointers are stable: streams_ owns
-  // each QuicStream behind a unique_ptr and never erases entries, so caching
-  // the pointer here avoids a map lookup per stream per send opportunity.
+  // Every stream in creation order; a stream's index here is its place in
+  // the round robin. Raw pointers are stable: streams_ owns each QuicStream
+  // behind a unique_ptr and never erases entries.
   std::vector<QuicStream*> send_order_;
-  std::size_t rr_cursor_ = 0;
+  // Indices into send_order_ of the live streams, which every per-stream
+  // walk iterates instead of send_order_. Live is a superset of active
+  // (stream_is_active), and only active streams have data to send or are
+  // mid-receive. A stream enters on creation and again on every write or
+  // requeue, the only events that can reactivate it (receive_finished()
+  // never reverts); walks erase entries they find inactive. Mutable so the
+  // const queries can prune too.
+  mutable std::set<std::size_t> live_;
+  std::size_t rr_cursor_ = 0;  // send_order_ index the round robin is past
 
   // Connection-level flow control.
   std::uint64_t conn_peer_max_ = 0;     // what we may send

@@ -16,6 +16,7 @@ QuicStream::QuicStream(StreamId id, std::size_t send_window,
 void QuicStream::write(BytesView data, bool fin) {
   send_buffer_.insert(send_buffer_.end(), data.begin(), data.end());
   if (fin) fin_written_ = true;
+  if (on_sendable_) on_sendable_();
 }
 
 bool QuicStream::has_pending_data() const {
@@ -100,6 +101,7 @@ void QuicStream::requeue(std::uint64_t offset, std::size_t len, bool fin) {
   if (fin) fin_sent_ = false;
   if (len == 0 && !fin) return;
   retx_.push_back({offset, len, fin});
+  if (on_sendable_) on_sendable_();
 }
 
 void QuicStream::cancel_retransmission(std::uint64_t offset, std::size_t len,

@@ -43,6 +43,12 @@ class QuicStream {
   }
 
   // --- Packetisation interface (driven by the connection) ---
+  // Called whenever the stream may have gained data to send (an app write
+  // or a loss requeue): the only events that can make has_pending_data()
+  // true again.
+  void set_on_sendable(std::function<void()> fn) {
+    on_sendable_ = std::move(fn);
+  }
   // True if retransmission or fresh data exists, regardless of flow control.
   bool has_pending_data() const;
   // True if pending data exists but the peer's stream window blocks it.
@@ -85,10 +91,6 @@ class QuicStream {
   // Currently advertised max offset (for regenerating a lost WINDOW_UPDATE).
   std::uint64_t advertised_max() const { return advertised_max_; }
 
-  bool all_data_acked_sent() const {  // everything written has been sent
-    return retx_.empty() && next_send_offset_ >= send_buffer_.size() &&
-           (!fin_written_ || fin_sent_);
-  }
   bool receive_finished() const { return fin_received_ && delivered_ == fin_offset_; }
   // Application finished reading `n` more bytes: flow control may now
   // re-advertise them (the connection schedules this after the device's
@@ -131,6 +133,7 @@ class QuicStream {
   std::uint64_t fin_offset_ = 0;
   bool fin_signalled_ = false;
   std::function<void(BytesView, bool)> on_data_;
+  std::function<void()> on_sendable_;
 };
 
 }  // namespace longlook::quic

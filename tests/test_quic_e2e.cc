@@ -1,7 +1,11 @@
 // End-to-end QUIC integration tests: full client<->server transfers through
 // the emulated testbed, covering handshake modes, multiplexing, loss
-// recovery, flow control, and congestion behaviour.
+// recovery, flow control, and congestion behaviour, plus the frozen wire
+// bytes of multiplexed runs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 #include "harness/compare.h"
 #include "harness/testbed.h"
@@ -196,6 +200,140 @@ TEST(QuicE2E, MspcOneSerialisesRequests) {
   ASSERT_TRUE(serial.plt_s.has_value());
   // MSPC=1 forces sequential requests: substantially worse PLT (Sec. 5.2).
   EXPECT_GT(*serial.plt_s, *multi.plt_s * 1.5);
+}
+
+// FNV-1a over every datagram one host puts on the access link, in send
+// order: its virtual send time, then its wire bytes. With the count it
+// fingerprints which packets went out, when, and what they carried.
+struct WireDigest {
+  std::uint64_t hash = 14695981039346656037ull;
+  std::uint64_t datagrams = 0;
+
+  void add(const Packet& p, TimePoint at) {
+    auto mix = [this](std::uint8_t byte) {
+      hash = (hash ^ byte) * 1099511628211ull;
+    };
+    const std::int64_t ns = at.time_since_epoch().count();
+    for (int shift = 0; shift < 64; shift += 8) {
+      mix(static_cast<std::uint8_t>((ns >> shift) & 0xff));
+    }
+    for (std::uint8_t byte : p.data) mix(byte);
+    ++datagrams;
+  }
+  bool operator==(const WireDigest&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const WireDigest& d) {
+  return os << "{" << d.hash << "ull, " << d.datagrams << "}";
+}
+
+// Client and server datagram digests of one scenario run from a cold token
+// cache. Every upstream hop is lossless and uncapped, so the access link's
+// enqueue events see every datagram each host sends.
+std::pair<WireDigest, WireDigest> wire_digests(const Scenario& scenario,
+                                               workload::ScenarioSpec spec,
+                                               const quic::QuicConfig& config) {
+  Testbed tb(scenario);
+  WireDigest client;
+  WireDigest server;
+  tb.uplink().set_tap([&](LinkEvent ev, const Packet& p, TimePoint at) {
+    if (ev == LinkEvent::kEnqueued) client.add(p, at);
+  });
+  tb.downlink().set_tap([&](LinkEvent ev, const Packet& p, TimePoint at) {
+    if (ev == LinkEvent::kEnqueued) server.add(p, at);
+  });
+  quic::TokenCache tokens;
+  http::QuicObjectServer objects(tb.sim(), tb.server_host(),
+                                 harness::kQuicPort, config);
+  http::QuicClientSession session(tb.sim(), tb.client_host(),
+                                  tb.server_host().address(),
+                                  harness::kQuicPort, config, tokens);
+  workload::ScenarioRunner runner(tb.sim(), session, std::move(spec));
+  runner.start();
+  EXPECT_TRUE(tb.run_until([&] { return runner.finished(); }, seconds(600)));
+  return {client, server};
+}
+
+// The multiplexing order is part of the model: which stream's bytes fill
+// each packet decides what a loss stalls. These digests were recorded
+// before the connection's per-stream walks moved onto its live-stream set;
+// any drift means the send path changed behaviour. Cases: round robin and
+// stream-limit queueing with loss, the same under time-threshold loss
+// detection, and stream churn on one connection, where a loss requeue
+// revives streams that had already finished.
+TEST(QuicE2E, MultiplexedWireBytesAreFrozen) {
+  struct Case {
+    std::string name;
+    workload::ScenarioSpec spec;
+    quic::LossDetectionMode loss_mode = quic::LossDetectionMode::kFixedNack;
+    WireDigest client;
+    WireDigest server;
+  };
+  const auto churn =
+      workload::parse_scenario("*200:0:-:128:1024;*200:1:-:128:1024;");
+  ASSERT_TRUE(churn.ok()) << churn.error;
+  const Case cases[] = {
+      {"page 50x10KiB mspc 8", workload::page_scenario({50, 10 * 1024}),
+       quic::LossDetectionMode::kFixedNack, {6611305639201587112ull, 241},
+       {12960385034384259456ull, 404}},
+      {"page 50x10KiB mspc 8 time-loss",
+       workload::page_scenario({50, 10 * 1024}),
+       quic::LossDetectionMode::kTimeThreshold, {11444862872771054814ull, 241},
+       {6847972715720028642ull, 404}},
+      {"churn 2x200", *churn.spec, quic::LossDetectionMode::kFixedNack,
+       {17882430850201226663ull, 804},
+       {1711269729311174486ull, 423}},
+  };
+  for (const Case& c : cases) {
+    Scenario s;
+    s.rate_bps = 10'000'000;
+    s.loss_rate = 0.01;
+    s.seed = 7;
+    quic::QuicConfig config;
+    config.max_streams = 8;
+    config.loss_mode = c.loss_mode;
+    const auto [client, server] = wire_digests(s, c.spec, config);
+    EXPECT_EQ(client, c.client) << c.name;
+    EXPECT_EQ(server, c.server) << c.name;
+  }
+}
+
+// Per-packet stream work follows the live streams, not every stream ever
+// opened: over 4000 closed-loop transactions on one connection (four chains
+// of 128 B requests and 1 KiB responses), neither side's live-stream set
+// grows past a few streams beyond the four in flight.
+TEST(QuicE2E, LiveStreamSetStaysSmallUnderStreamChurn) {
+  const auto spec = workload::parse_scenario(
+      "*1000:0:-:128:1024;*1000:1:-:128:1024;"
+      "*1000:2:-:128:1024;*1000:3:-:128:1024;");
+  ASSERT_TRUE(spec.ok()) << spec.error;
+  Scenario s;
+  s.rate_bps = 10'000'000;
+  Testbed tb(s);
+  quic::TokenCache tokens;
+  http::QuicObjectServer objects(tb.sim(), tb.server_host(),
+                                 harness::kQuicPort, {});
+  http::QuicClientSession session(tb.sim(), tb.client_host(),
+                                  tb.server_host().address(),
+                                  harness::kQuicPort, {}, tokens);
+  workload::ScenarioRunner runner(tb.sim(), session, *spec.spec);
+  std::size_t max_client = 0;
+  std::size_t max_server = 0;
+  std::size_t samples = 0;
+  PeriodicTimer sampler(tb.sim(), milliseconds(1), [&] {
+    ++samples;
+    max_client =
+        std::max(max_client, session.connection().live_stream_count());
+    if (const auto* c = objects.server().latest_connection()) {
+      max_server = std::max(max_server, c->live_stream_count());
+    }
+  });
+  runner.start();
+  ASSERT_TRUE(tb.run_until([&] { return runner.finished(); }, seconds(600)));
+  EXPECT_EQ(runner.result().transactions, 4000u);
+  EXPECT_GT(samples, 1000u);
+  EXPECT_LE(max_client, 8u);
+  EXPECT_LE(max_server, 8u);
 }
 
 }  // namespace
