@@ -417,11 +417,6 @@ inline std::string rate_label(std::int64_t bps) {
   return std::to_string(bps / 1'000'000) + "Mbps";
 }
 
-inline std::string size_label(std::size_t bytes) {
-  if (bytes >= 1024 * 1024) return std::to_string(bytes / (1024 * 1024)) + "MB";
-  return std::to_string(bytes / 1024) + "KB";
-}
-
 // Runs a full QUIC-vs-TCP heatmap: rows = rates, cols = workloads. Every
 // (rate, workload, round) simulation is an independent SweepRunner job;
 // cells are committed in submission order, so the rendered heatmap is

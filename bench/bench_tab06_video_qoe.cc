@@ -15,26 +15,6 @@ struct QoeAgg {
   std::vector<double> tts, loaded, ratio, rebuffers, rebuf_per_sec;
 };
 
-template <typename MakeSession>
-video::QoeMetrics run_once(const video::VideoQuality& q, std::uint64_t seed,
-                           MakeSession&& make_session) {
-  Scenario s;
-  s.rate_bps = 100'000'000;
-  s.loss_rate = 0.01;
-  s.seed = seed;
-  Testbed tb(s);
-  http::QuicObjectServer quic_server(tb.sim(), tb.server_host(), kQuicPort,
-                                     {});
-  http::TcpObjectServer tcp_server(tb.sim(), tb.server_host(), kTcpPort, {});
-  auto session = make_session(tb);
-  video::StreamingConfig cfg;
-  cfg.quality = q;
-  video::StreamingSession player(tb.sim(), *session, cfg);
-  player.start(nullptr);
-  tb.run_until([&] { return player.finished(); }, seconds(90));
-  return player.metrics();
-}
-
 void collect(QoeAgg& agg, const video::QoeMetrics& m) {
   agg.tts.push_back(m.time_to_start_s);
   agg.loaded.push_back(m.fraction_loaded_pct);
@@ -56,46 +36,56 @@ int main(int argc, char** argv) {
       "Video QoE for a 1-hour video, 60 s watch, 100 Mbps + 1% loss",
       "Table 6 (Sec. 5.3)");
 
-  std::vector<std::vector<std::string>> rows;
-  for (const video::VideoQuality& q : video::all_qualities()) {
-    QoeAgg quic_agg;
-    QoeAgg tcp_agg;
-    for (int r = 0; r < longlook::bench::rounds(); ++r) {
-      const std::uint64_t seed = 1300 + static_cast<std::uint64_t>(r);
-      quic::TokenCache tokens;
-      collect(quic_agg, run_once(q, seed, [&](Testbed& tb) {
-                return std::make_unique<http::QuicClientSession>(
-                    tb.sim(), tb.client_host(), tb.server_host().address(),
-                    kQuicPort, quic::QuicConfig{}, tokens);
-              }));
-      collect(tcp_agg, run_once(q, seed, [&](Testbed& tb) {
-                return std::make_unique<http::H2ClientSession>(
-                    tb.sim(), tb.client_host(), tb.server_host().address(),
-                    kTcpPort, tcp::TcpConfig{});
-              }));
-      std::fputc('.', stderr);
+  // Every (quality, round, protocol) run is one job writing its own slot;
+  // slots are folded in submission order, so output is identical at any
+  // LL_JOBS. Round r runs both stacks at seed 1300 + r.
+  const std::vector<video::VideoQuality> qualities = video::all_qualities();
+  const int rounds = longlook::bench::rounds();
+  std::vector<video::QoeMetrics> runs(qualities.size() * 2 *
+                                      static_cast<std::size_t>(rounds));
+  obs::Profiler* profiler = longlook::bench::context().profiler();
+  SweepRunner runner;
+  runner.set_profiler(profiler);
+  ProgressReporter progress(stderr);
+  std::size_t job = 0;
+  for (const video::VideoQuality& q : qualities) {
+    for (int r = 0; r < rounds; ++r) {
+      Scenario s;
+      s.rate_bps = 100'000'000;
+      s.loss_rate = 0.01;
+      s.seed = 1300 + static_cast<std::uint64_t>(r);
+      for (const Protocol p : {Protocol::kQuic, Protocol::kTcp}) {
+        runner.submit([&runs, &progress, profiler, slot = job++, s, q, p] {
+          runs[slot] = run_video(s, q, p, profiler);
+          progress.tick();
+        });
+      }
     }
-    rows.push_back({q.name, "QUIC", ms(quic_agg.tts, 1), ms(quic_agg.loaded, 1),
-                    ms(quic_agg.ratio, 1), ms(quic_agg.rebuffers, 1),
-                    ms(quic_agg.rebuf_per_sec, 2)});
-    rows.push_back({"", "TCP", ms(tcp_agg.tts, 1), ms(tcp_agg.loaded, 1),
-                    ms(tcp_agg.ratio, 1), ms(tcp_agg.rebuffers, 1),
-                    ms(tcp_agg.rebuf_per_sec, 2)});
-    auto& ctx = longlook::bench::context();
-    ctx.record_scalar("Table 6 time-to-start (us)",
-                      std::string(q.name) + " quic_tts_us",
-                      std::llround(stats::mean(quic_agg.tts) * 1e6));
-    ctx.record_scalar("Table 6 time-to-start (us)",
-                      std::string(q.name) + " tcp_tts_us",
-                      std::llround(stats::mean(tcp_agg.tts) * 1e6));
-    ctx.record_scalar("Table 6 loaded at 1 min (basis points)",
-                      std::string(q.name) + " quic_loaded_bp",
-                      std::llround(stats::mean(quic_agg.loaded) * 100));
-    ctx.record_scalar("Table 6 loaded at 1 min (basis points)",
-                      std::string(q.name) + " tcp_loaded_bp",
-                      std::llround(stats::mean(tcp_agg.loaded) * 100));
   }
-  std::fputc('\n', stderr);
+  runner.wait_all();
+  progress.finish();
+
+  std::vector<std::vector<std::string>> rows;
+  auto& ctx = longlook::bench::context();
+  std::size_t slot = 0;
+  for (const video::VideoQuality& q : qualities) {
+    QoeAgg agg[2];  // QUIC, TCP
+    for (int r = 0; r < rounds; ++r) {
+      for (QoeAgg& a : agg) collect(a, runs[slot++]);
+    }
+    for (std::size_t p = 0; p < 2; ++p) {
+      const QoeAgg& a = agg[p];
+      const std::string key = q.name + (p == 0 ? " quic" : " tcp");
+      rows.push_back({p == 0 ? q.name : "", p == 0 ? "QUIC" : "TCP",
+                      ms(a.tts, 1), ms(a.loaded, 1), ms(a.ratio, 1),
+                      ms(a.rebuffers, 1), ms(a.rebuf_per_sec, 2)});
+      ctx.record_scalar("Table 6 time-to-start (us)", key + "_tts_us",
+                        std::llround(stats::mean(a.tts) * 1e6));
+      ctx.record_scalar("Table 6 loaded at 1 min (basis points)",
+                        key + "_loaded_bp",
+                        std::llround(stats::mean(a.loaded) * 100));
+    }
+  }
 
   print_table(std::cout, "Table 6: mean (std) QoE metrics over rounds",
               {"Quality", "Proto", "TimeToStart(s)", "Loaded@1min(%)",

@@ -5,12 +5,9 @@
 // Usage: video_session [tiny|medium|hd720|hd2160] [rate_mbps] [loss_pct]
 // e.g.:  ./build/examples/video_session hd2160 100 1
 #include <cstdio>
-#include <cstring>
 #include <cstdlib>
 
-#include "harness/testbed.h"
-#include "http/object_service.h"
-#include "http/quic_session.h"
+#include "harness/compare.h"
 #include "video/streaming.h"
 
 using namespace longlook;
@@ -32,21 +29,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(scenario.rate_bps / 1'000'000),
               scenario.loss_rate * 100);
 
-  harness::Testbed tb(scenario);
-  http::QuicObjectServer server(tb.sim(), tb.server_host(),
-                                harness::kQuicPort, quic::QuicConfig{});
-  quic::TokenCache tokens;
-  http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                  tb.server_host().address(),
-                                  harness::kQuicPort, quic::QuicConfig{},
-                                  tokens);
-  video::StreamingConfig cfg;
-  cfg.quality = quality;
-  video::StreamingSession player(tb.sim(), session, cfg);
-  player.start(nullptr);
-  tb.run_until([&] { return player.finished(); }, seconds(120));
-
-  const video::QoeMetrics& m = player.metrics();
+  const video::QoeMetrics m =
+      harness::run_video(scenario, quality, harness::Protocol::kQuic);
   std::printf(
       "\nQoE metrics (cf. Table 6):\n"
       "  time to start:        %.2f s\n"

@@ -195,6 +195,22 @@ std::optional<double> duration_s(const std::optional<ScenarioRunStats>& s) {
   return s->duration_s;
 }
 
+// Stack S's client session, aimed where `opts` says (QUIC: with `tokens`).
+template <typename S>
+typename S::Session make_session(Testbed& tb, const CompareOptions& opts,
+                                 quic::TokenCache* tokens) {
+  const Address target = opts.*S::kConnectToMid ? tb.mid_host().address()
+                                                : tb.server_host().address();
+  const Port port = (opts.*S::kConnectPort).value_or(S::kPort);
+  if constexpr (S::kTakesTokens) {
+    return typename S::Session(tb.sim(), tb.client_host(), target, port,
+                               opts.*S::kConfig, *tokens);
+  } else {
+    return typename S::Session(tb.sim(), tb.client_host(), target, port,
+                               opts.*S::kConfig);
+  }
+}
+
 }  // namespace
 
 void fold_profile_counters(obs::Profiler* profiler, Testbed& tb) {
@@ -262,18 +278,7 @@ std::optional<ScenarioRunStats> run_stack(const Scenario& scenario,
   const std::shared_ptr<void> keepalive =
       eff->setup ? eff->setup(tb) : nullptr;
 
-  const Address target = eff->*S::kConnectToMid ? tb.mid_host().address()
-                                                : tb.server_host().address();
-  const Port port = (eff->*S::kConnectPort).value_or(S::kPort);
-  typename S::Session session = [&] {
-    if constexpr (S::kTakesTokens) {
-      return typename S::Session(tb.sim(), tb.client_host(), target, port,
-                                 config, *tokens);
-    } else {
-      return typename S::Session(tb.sim(), tb.client_host(), target, port,
-                                 config);
-    }
-  }();
+  typename S::Session session = make_session<S>(tb, *eff, tokens);
   workload::ScenarioRunner driver(tb.sim(), session, spec);
   driver.start();
   std::optional<PeriodicTimer> sample_timer;
@@ -303,6 +308,26 @@ template std::optional<ScenarioRunStats> run_stack<TcpStack>(
     const CompareOptions&, quic::TokenCache*, const RunObserver*);
 
 }  // namespace detail
+
+video::QoeMetrics run_video(const Scenario& scenario,
+                            const video::VideoQuality& quality,
+                            Protocol protocol, obs::Profiler* profiler) {
+  const auto run = [&]<typename S>(S) {
+    const CompareOptions opts{};
+    quic::TokenCache tokens;  // empty: a cold start
+    Testbed tb(scenario);
+    typename S::Server server(tb.sim(), tb.server_host(), S::kPort,
+                              opts.*S::kConfig);
+    typename S::Session session = make_session<S>(tb, opts, &tokens);
+    video::StreamingSession player(tb.sim(), session, quality);
+    player.start();
+    // The watch window always closes at 60 s; the bound only guards a hang.
+    tb.run_until([&] { return player.finished(); }, seconds(90));
+    fold_profile_counters(profiler, tb);
+    return player.metrics();
+  };
+  return protocol == Protocol::kQuic ? run(QuicStack{}) : run(TcpStack{});
+}
 
 std::optional<double> run_quic_page_load(const Scenario& scenario,
                                          const Workload& workload,

@@ -19,6 +19,7 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "stats/stats.h"
+#include "video/streaming.h"
 #include "workload/scenario.h"
 
 namespace longlook::harness {
@@ -111,6 +112,14 @@ std::optional<double> run_tcp_page_load(const Scenario& scenario,
                                         const Workload& workload,
                                         const CompareOptions& opts,
                                         const RunObserver* observer = nullptr);
+
+// One Table 6 run: a one-hour video at `quality` over `protocol`, watched
+// for 60 s in a fresh testbed from a cold start (no 0-RTT token). Folds the
+// run's work counters into `profiler` (null: none).
+video::QoeMetrics run_video(const Scenario& scenario,
+                            const video::VideoQuality& quality,
+                            Protocol protocol,
+                            obs::Profiler* profiler = nullptr);
 
 // Full comparison cell: rounds x (QUIC, TCP) with paired seeds + the t-test.
 CellResult compare_plt(const Scenario& scenario, const Workload& workload,

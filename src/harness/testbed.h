@@ -21,6 +21,9 @@
 
 namespace longlook::harness {
 
+// The two stacks every experiment compares: gQUIC, or TCP + TLS + HTTP/2.
+enum class Protocol { kQuic, kTcp };
+
 struct Scenario {
   std::string name = "default";
   // Bottleneck cap on the client–router link (both directions); 0 = none.

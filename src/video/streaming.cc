@@ -2,9 +2,20 @@
 
 #include <algorithm>
 #include <memory>
-#include <string>
+#include <utility>
 
 namespace longlook::video {
+
+namespace {
+constexpr Duration kVideoLength = seconds(3600);  // one-hour video
+constexpr Duration kWatchTime = seconds(60);      // measurement window
+constexpr Duration kSegmentLength = seconds(2);
+constexpr Duration kInitialBuffer = seconds(2);   // playback start threshold
+constexpr Duration kRebufferResume = seconds(4);  // resume after a stall
+constexpr Duration kMaxBufferAhead = seconds(120);  // fetch throttle
+constexpr auto kTotalSegments =
+    static_cast<std::size_t>(kVideoLength / kSegmentLength);
+}  // namespace
 
 VideoQuality quality_tiny() { return {"tiny", 300'000}; }
 VideoQuality quality_medium() { return {"medium", 750'000}; }
@@ -17,80 +28,47 @@ std::vector<VideoQuality> all_qualities() {
 
 StreamingSession::StreamingSession(Simulator& sim,
                                    http::ClientSession& session,
-                                   StreamingConfig config)
-    : sim_(sim), session_(session), config_(config) {}
+                                   VideoQuality quality)
+    : sim_(sim), quality_(std::move(quality)), runner_(sim, session, {}) {}
 
-std::size_t StreamingSession::segment_bytes() const {
-  // Computed in the signed 64-bit domain first: a mis-configured negative
-  // segment length used to wrap through std::size_t into a multi-exabyte
-  // segment; now it degrades to an empty segment instead.
-  const std::int64_t bytes = config_.quality.bitrate_bps / 8 *
-                             config_.segment_length.count() / 1000000000;
-  return bytes > 0 ? static_cast<std::size_t>(bytes) : 0;
-}
-
-std::size_t StreamingSession::total_segments() const {
-  const std::int64_t segments =
-      config_.video_length.count() / config_.segment_length.count();
-  return segments > 0 ? static_cast<std::size_t>(segments) : 0;
-}
-
-void StreamingSession::start(std::function<void(const QoeMetrics&)> on_done) {
-  on_done_ = std::move(on_done);
+void StreamingSession::start() {
   started_at_ = sim_.now();
-  watch_deadline_ = started_at_ + config_.watch_time;
-  sim_.schedule(config_.watch_time,
-                [this, token = std::weak_ptr<char>(live_token_)] {
-                  if (token.expired()) return;
-                  finish();
-                });
-  session_.connect([this] {
+  sim_.schedule(kWatchTime, [this, token = std::weak_ptr<char>(live_token_)] {
+    if (token.expired()) return;
+    finish();
+  });
+  runner_.start([this](const workload::ScenarioResult&) {
     fetch_next_segment();
     playback_tick();
   });
 }
 
 void StreamingSession::fetch_next_segment() {
-  if (finished_ || fetch_in_flight_) return;
-  if (segments_requested_ >= total_segments()) return;
+  // One segment in flight at a time.
+  if (finished_ || segments_requested_ > segments_fetched_) return;
+  if (segments_requested_ >= kTotalSegments) return;
   // Throttle: don't fetch beyond the buffered-ahead cap.
-  if (buffered_seconds_ >= to_seconds(config_.max_buffer_ahead)) return;
-  http::AppStream* stream = session_.open_stream();
-  if (stream == nullptr) return;
-  fetch_in_flight_ = true;
+  if (buffered_seconds_ >= to_seconds(kMaxBufferAhead)) return;
   ++segments_requested_;
-
-  auto bytes_seen = std::make_shared<std::size_t>(0);
-  const std::size_t want = segment_bytes();
-  stream->set_on_data([this, bytes_seen](BytesView data, bool fin) {
-    *bytes_seen += data.size();
-    if (fin) on_segment_complete();
-  });
-  const std::string request = "GET /seg" + std::to_string(segments_requested_) +
-                              " " + std::to_string(want) + "\n";
-  stream->write(BytesView(reinterpret_cast<const std::uint8_t*>(
-                              request.data()),
-                          request.size()),
-                false);
-  session_.flush();
+  const std::int64_t bytes = std::max<std::int64_t>(
+      0, quality_.bitrate_bps / 8 * kSegmentLength.count() / 1000000000);
+  runner_.fetch(segments_requested_, static_cast<std::uint64_t>(bytes),
+                [this] { on_segment_complete(); });
 }
 
 void StreamingSession::on_segment_complete() {
   if (finished_) return;
-  fetch_in_flight_ = false;
   ++segments_fetched_;
-  buffered_seconds_ += to_seconds(config_.segment_length);
+  buffered_seconds_ += to_seconds(kSegmentLength);
 
   if (!metrics_.started &&
-      buffered_seconds_ >= to_seconds(config_.initial_buffer)) {
+      buffered_seconds_ >= to_seconds(kInitialBuffer)) {
     metrics_.started = true;
     metrics_.time_to_start_s = to_seconds(sim_.now() - started_at_);
-    playing_ = true;
   }
-  if (stalled_ && buffered_seconds_ >= to_seconds(config_.rebuffer_resume)) {
+  if (stalled_ && buffered_seconds_ >= to_seconds(kRebufferResume)) {
     stalled_ = false;
     metrics_.stalled_seconds += to_seconds(sim_.now() - stall_started_);
-    playing_ = true;
   }
   fetch_next_segment();
 }
@@ -98,13 +76,12 @@ void StreamingSession::on_segment_complete() {
 void StreamingSession::playback_tick() {
   if (finished_) return;
   constexpr double kTick = 0.1;  // seconds of playback per tick
-  if (playing_) {
+  if (metrics_.started && !stalled_) {  // playing
     const double consumed = std::min(buffered_seconds_, kTick);
     buffered_seconds_ -= consumed;
-    played_seconds_ += consumed;
-    if (buffered_seconds_ <= 0 && metrics_.started) {
+    metrics_.played_seconds += consumed;
+    if (buffered_seconds_ <= 0) {
       // Buffer drained: rebuffer event.
-      playing_ = false;
       stalled_ = true;
       stall_started_ = sim_.now();
       ++metrics_.rebuffer_count;
@@ -125,17 +102,15 @@ void StreamingSession::finish() {
   if (stalled_) {
     metrics_.stalled_seconds += to_seconds(sim_.now() - stall_started_);
   }
-  metrics_.played_seconds = played_seconds_;
   metrics_.fraction_loaded_pct =
       100.0 * static_cast<double>(segments_fetched_) *
-      to_seconds(config_.segment_length) / to_seconds(config_.video_length);
-  if (played_seconds_ > 0) {
-    metrics_.buffer_play_ratio_pct =
-        100.0 * metrics_.stalled_seconds / played_seconds_;
+      to_seconds(kSegmentLength) / to_seconds(kVideoLength);
+  const double played = metrics_.played_seconds;
+  if (played > 0) {
+    metrics_.buffer_play_ratio_pct = 100.0 * metrics_.stalled_seconds / played;
     metrics_.rebuffers_per_played_sec =
-        static_cast<double>(metrics_.rebuffer_count) / played_seconds_;
+        static_cast<double>(metrics_.rebuffer_count) / played;
   }
-  if (on_done_) on_done_(metrics_);
 }
 
 }  // namespace longlook::video

@@ -4,19 +4,18 @@
 // let it run for 60 seconds, and log QoE metrics — time to start, fraction
 // of the video loaded, rebuffer count, and buffering/playing time ratio.
 //
-// The player is a DASH-style segment fetcher: 5-second segments requested
-// sequentially over the session's streams, playback starting once an
-// initial buffer exists, rebuffering whenever the buffer drains, and a
-// buffered-ahead cap that throttles fetching (like YouTube's player).
+// The player is a DASH-style segment fetcher: 2-second segments requested
+// one at a time through a workload::ScenarioRunner (the request a page
+// object makes), playback starting once an initial buffer exists,
+// rebuffering whenever the buffer drains, and a buffered-ahead cap that
+// throttles fetching (like YouTube's player).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "http/app_stream.h"
-#include "sim/simulator.h"
+#include "workload/executor.h"
 
 namespace longlook::video {
 
@@ -33,16 +32,6 @@ VideoQuality quality_hd720();   // 720p
 VideoQuality quality_hd2160();  // 4K
 std::vector<VideoQuality> all_qualities();
 
-struct StreamingConfig {
-  VideoQuality quality = quality_hd720();
-  Duration video_length = seconds(3600);   // one-hour video
-  Duration watch_time = seconds(60);       // measurement window
-  Duration segment_length = seconds(2);
-  Duration initial_buffer = seconds(2);    // playback start threshold
-  Duration rebuffer_resume = seconds(4);   // resume threshold after a stall
-  Duration max_buffer_ahead = seconds(120);  // fetch throttle
-};
-
 struct QoeMetrics {
   double time_to_start_s = 0;
   double fraction_loaded_pct = 0;       // of the whole video, after 60 s
@@ -56,11 +45,13 @@ struct QoeMetrics {
 
 class StreamingSession {
  public:
+  // `session` must outlive the player.
   StreamingSession(Simulator& sim, http::ClientSession& session,
-                   StreamingConfig config);
+                   VideoQuality quality);
 
-  // Runs the player; on_done fires when the watch window closes.
-  void start(std::function<void(const QoeMetrics&)> on_done);
+  // Connects and runs the player: the 60 s watch window opens now, fetching
+  // and the 100 ms playback tick start at connect.
+  void start();
 
   const QoeMetrics& metrics() const { return metrics_; }
   bool finished() const { return finished_; }
@@ -71,25 +62,17 @@ class StreamingSession {
   void playback_tick();
   void finish();
 
-  std::size_t segment_bytes() const;
-  std::size_t total_segments() const;
-
   Simulator& sim_;
-  http::ClientSession& session_;
-  StreamingConfig config_;
-  std::function<void(const QoeMetrics&)> on_done_;
+  const VideoQuality quality_;
+  workload::ScenarioRunner runner_;  // empty spec: completes at connect
   QoeMetrics metrics_;
 
   TimePoint started_at_{};
-  TimePoint watch_deadline_{};
   std::size_t segments_fetched_ = 0;   // completed downloads
   std::size_t segments_requested_ = 0;
-  bool fetch_in_flight_ = false;
-  bool playing_ = false;
-  bool stalled_ = false;
+  bool stalled_ = false;  // started, buffer drained, not yet resumed
   TimePoint stall_started_{};
   double buffered_seconds_ = 0;
-  double played_seconds_ = 0;
   bool finished_ = false;
   EventId tick_event_ = kInvalidEventId;
   // Liveness token for the watch-time and playback-tick events: a session

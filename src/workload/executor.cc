@@ -26,7 +26,16 @@ void ScenarioRunner::start(
     std::function<void(const ScenarioResult&)> on_done) {
   on_done_ = std::move(on_done);
   result_.started = sim_.now();
-  session_.connect([this] { start_ready_entries(); });
+  session_.connect([this] {
+    start_ready_entries();
+    if (spec_.streams.empty()) complete();
+  });
+}
+
+void ScenarioRunner::fetch(std::uint64_t object_index, std::uint64_t bytes,
+                           std::function<void()> on_complete) {
+  pending_.push_back({0, 0, object_index, bytes, std::move(on_complete)});
+  pump_issue_queue();
 }
 
 void ScenarioRunner::start_ready_entries() {
@@ -47,10 +56,10 @@ void ScenarioRunner::enqueue_repetition(std::size_t idx, std::uint64_t rep) {
   if (s.is_page()) {
     entries_[idx].page_done = 0;
     for (std::size_t obj = 0; obj < s.page->object_count; ++obj) {
-      pending_.push_back({idx, rep, obj});
+      pending_.push_back({idx, rep, obj, s.page->object_bytes, nullptr});
     }
   } else {
-    pending_.push_back({idx, rep, 0});
+    pending_.push_back({idx, rep, 0, 0, nullptr});
   }
   pump_issue_queue();
 }
@@ -67,12 +76,12 @@ void ScenarioRunner::pump_issue_queue() {
   do {
     pump_again_ = false;
     while (!pending_.empty() && session_.can_open_stream()) {
-      const PendingRequest req = pending_.front();
+      PendingRequest req = std::move(pending_.front());
       pending_.pop_front();
       if (!issue(req)) {
         // A free slot whose open fails (transport not ready): keep the
         // request queued and stop, so this loop cannot spin.
-        pending_.push_front(req);
+        pending_.push_front(std::move(req));
         break;
       }
     }
@@ -81,23 +90,24 @@ void ScenarioRunner::pump_issue_queue() {
   session_.flush();
 }
 
-bool ScenarioRunner::issue(const PendingRequest& req) {
+bool ScenarioRunner::issue(PendingRequest& req) {
   http::AppStream* stream = session_.open_stream();
   if (stream == nullptr) return false;
-  const StreamSpec& s = spec_.streams[req.entry];
+  const StreamSpec* s = req.on_fetched ? nullptr : &spec_.streams[req.entry];
   result_.detail.push_back({});
   // Capture the slot index, not a reference: `detail` reallocates while
   // transactions are in flight.
   const std::size_t slot = result_.detail.size() - 1;
   TransactionTiming& t = result_.detail[slot];
-  t.stream_id = s.stream_id;
   t.repetition = req.repetition;
   t.object_index = req.object_index;
   t.issued = sim_.now();
-  if (!s.is_page()) t.upload_bytes = s.upload_bytes;
+  t.stream_id = s != nullptr ? s->stream_id : 0;
+  if (s != nullptr && !s->is_page()) t.upload_bytes = s->upload_bytes;
 
   const std::size_t idx = req.entry;
-  stream->set_on_data([this, idx, slot](BytesView data, bool fin) {
+  stream->set_on_data([this, idx, slot, on_fetched = std::move(req.on_fetched)](
+                          BytesView data, bool fin) {
     TransactionTiming& timing = result_.detail[slot];
     if (timing.download_bytes == 0 && !data.empty()) {
       timing.first_byte = sim_.now();
@@ -106,23 +116,23 @@ bool ScenarioRunner::issue(const PendingRequest& req) {
     if (fin && !timing.done) {
       timing.done = true;
       timing.completed = sim_.now();
-      on_transaction_complete(idx, timing);
+      on_transaction_complete(idx, timing, on_fetched);
     }
   });
 
-  if (s.is_page()) {
-    // The object request the paper's PLT cells measure.
-    const std::string request =
-        "GET /obj" + std::to_string(req.object_index) + " " +
-        std::to_string(s.page->object_bytes) + "\n";
+  if (s == nullptr || s->is_page()) {
+    // The object request the paper's PLT cells (and video segments) measure.
+    const std::string request = "GET /obj" +
+                                std::to_string(req.object_index) + " " +
+                                std::to_string(req.object_bytes) + "\n";
     stream->write(
         BytesView(reinterpret_cast<const std::uint8_t*>(request.data()),
                   request.size()),
         /*fin=*/false);
   } else {
-    const std::string header = "PRF " + std::to_string(s.download_bytes) +
-                               " " + std::to_string(s.upload_bytes) + "\n";
-    write_upload(*stream, header, s.upload_bytes);
+    const std::string header = "PRF " + std::to_string(s->download_bytes) +
+                               " " + std::to_string(s->upload_bytes) + "\n";
+    write_upload(*stream, header, s->upload_bytes);
   }
   return true;
 }
@@ -171,11 +181,17 @@ void ScenarioRunner::write_upload(http::AppStream& stream,
   (*pump)();
 }
 
-void ScenarioRunner::on_transaction_complete(std::size_t idx,
-                                             TransactionTiming& timing) {
+void ScenarioRunner::on_transaction_complete(
+    std::size_t idx, TransactionTiming& timing,
+    const std::function<void()>& on_fetched) {
   ++result_.transactions;
   result_.upload_bytes += timing.upload_bytes;
   result_.download_bytes += timing.download_bytes;
+  if (on_fetched) {
+    on_fetched();
+    if (!pending_.empty()) pump_issue_queue();  // a slot just freed
+    return;
+  }
   EntryState& e = entries_[idx];
   const StreamSpec& s = spec_.streams[idx];
   if (s.is_page()) {
@@ -210,6 +226,10 @@ void ScenarioRunner::on_entry_complete(std::size_t idx) {
       return;
     }
   }
+  complete();
+}
+
+void ScenarioRunner::complete() {
   result_.complete = true;
   result_.finished = sim_.now();
   result_.duration = result_.finished - result_.started;

@@ -1,8 +1,9 @@
 // ScenarioRunner: executes a parsed scenario over any http::ClientSession
 // (QUIC or TCP/H2), measuring what the quicperf protocol reports: total
 // duration, transaction count, and bytes moved in each direction. It is the
-// testbed's only application driver; a page load is page_scenario({N, B}),
-// whose duration is the paper's PLT and `detail` its resource timings.
+// testbed's only application driver and request writer: a page load is
+// page_scenario({N, B}), whose duration is the paper's PLT and `detail` its
+// resource timings; video segments are on-demand fetch() requests.
 //
 // Execution semantics:
 //   * entries with start-after "-" begin as soon as the session is ready
@@ -15,7 +16,9 @@
 //     fin-before-on_data reentrancy class);
 //   * page entries request all their objects in parallel against the
 //     stream limit, in object order, the repetition completing with the
-//     last object's final byte.
+//     last object's final byte;
+//   * an empty spec completes at connect; fetch() requests join the same
+//     stream-slot queue and count toward the totals and `detail`.
 //
 // Uploads ride the PRF request ("PRF <download> <upload>\n" + body; see
 // http::ObjectService); large bodies are produced incrementally against
@@ -67,8 +70,13 @@ class ScenarioRunner {
   ScenarioRunner& operator=(const ScenarioRunner&) = delete;
 
   // Connects and begins executing; on_done fires when every entry has
-  // completed all its repetitions.
+  // completed all its repetitions (at connect, for an empty spec).
   void start(std::function<void(const ScenarioResult&)> on_done = nullptr);
+
+  // Once the session is ready, requests object `object_index` (`bytes` long)
+  // as a page object; on_complete fires at the response's final byte.
+  void fetch(std::uint64_t object_index, std::uint64_t bytes,
+             std::function<void()> on_complete);
 
   const ScenarioResult& result() const { return result_; }
   bool finished() const { return result_.complete; }
@@ -81,22 +89,26 @@ class ScenarioRunner {
     // Objects completed in the current repetition of a page entry.
     std::size_t page_done = 0;
   };
-  // One queued request waiting for a stream slot.
+  // One queued request waiting for a stream slot; fetch() sets on_fetched.
   struct PendingRequest {
     std::size_t entry = 0;
     std::uint64_t repetition = 0;
-    std::uint64_t object_index = 0;  // page entries only
+    std::uint64_t object_index = 0;  // page entries and fetches only
+    std::uint64_t object_bytes = 0;  // page entries and fetches only
+    std::function<void()> on_fetched;
   };
 
   void start_ready_entries();
   void start_entry(std::size_t idx);
   void enqueue_repetition(std::size_t idx, std::uint64_t rep);
   void pump_issue_queue();
-  bool issue(const PendingRequest& req);  // false: no stream slot
+  bool issue(PendingRequest& req);  // false: no stream slot, req untouched
   void write_upload(http::AppStream& stream, const std::string& header,
                     std::uint64_t upload_bytes);
-  void on_transaction_complete(std::size_t idx, TransactionTiming& timing);
+  void on_transaction_complete(std::size_t idx, TransactionTiming& timing,
+                               const std::function<void()>& on_fetched);
   void on_entry_complete(std::size_t idx);
+  void complete();
 
   Simulator& sim_;
   http::ClientSession& session_;

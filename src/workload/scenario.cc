@@ -296,12 +296,6 @@ std::optional<PageGraph> lookup_page_graph(std::string_view name) {
                    static_cast<std::size_t>(bytes)};
 }
 
-std::vector<std::string> page_graph_names() {
-  std::vector<std::string> out;
-  for (const NamedGraph& g : kNamedGraphs) out.emplace_back(g.name);
-  return out;
-}
-
 ScenarioSpec page_scenario(PageGraph page) {
   ScenarioSpec spec;
   StreamSpec& s = spec.streams.emplace_back();

@@ -46,8 +46,6 @@ struct PageGraph {
 // unknown names. `<count>x<bytes>` forms (e.g. "10x10240") resolve without
 // registration.
 std::optional<PageGraph> lookup_page_graph(std::string_view name);
-// Names in registration order, for docs/usage output.
-std::vector<std::string> page_graph_names();
 
 // One `*N:...;` entry.
 struct StreamSpec {

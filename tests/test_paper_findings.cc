@@ -130,12 +130,15 @@ TEST(PaperFindings, ZeroRttHelpsSmallNotHuge) {
 
 // --- Reliability sweep: delivery is exact under every impairment ---------
 
+// gtest names each case after the raw bytes of its parameter, so `name` goes
+// last: the bytes then start with the impairment values, not with the address
+// of a string literal, which moves whenever the linked code changes.
 struct Impairment {
-  const char* name;
   double loss = 0.0;
   Duration jitter{};
   double reorder = 0.0;
   std::int64_t buffer = 0;
+  const char* name = "";
 };
 
 class ReliabilitySweep : public ::testing::TestWithParam<Impairment> {};
@@ -180,15 +183,15 @@ TEST_P(ReliabilitySweep, TcpDeliversEveryByteExactlyOnce) {
 INSTANTIATE_TEST_SUITE_P(
     Impairments, ReliabilitySweep,
     ::testing::Values(
-        Impairment{"clean", 0, kNoDuration, 0, 768 * 1024},
-        Impairment{"light_loss", 0.001, kNoDuration, 0, 768 * 1024},
-        Impairment{"heavy_loss", 0.05, kNoDuration, 0, 768 * 1024},
-        Impairment{"brutal_loss", 0.15, kNoDuration, 0, 768 * 1024},
-        Impairment{"jitter", 0, milliseconds(8), 0, 768 * 1024},
-        Impairment{"reorder", 0, kNoDuration, 0.05, 768 * 1024},
-        Impairment{"tiny_buffer", 0, kNoDuration, 0, 16 * 1024},
-        Impairment{"loss_and_jitter", 0.01, milliseconds(5), 0, 768 * 1024},
-        Impairment{"everything", 0.02, milliseconds(5), 0.02, 48 * 1024}),
+        Impairment{0, kNoDuration, 0, 768 * 1024, "clean"},
+        Impairment{0.001, kNoDuration, 0, 768 * 1024, "light_loss"},
+        Impairment{0.05, kNoDuration, 0, 768 * 1024, "heavy_loss"},
+        Impairment{0.15, kNoDuration, 0, 768 * 1024, "brutal_loss"},
+        Impairment{0, milliseconds(8), 0, 768 * 1024, "jitter"},
+        Impairment{0, kNoDuration, 0.05, 768 * 1024, "reorder"},
+        Impairment{0, kNoDuration, 0, 16 * 1024, "tiny_buffer"},
+        Impairment{0.01, milliseconds(5), 0, 768 * 1024, "loss_and_jitter"},
+        Impairment{0.02, milliseconds(5), 0.02, 48 * 1024, "everything"}),
     [](const ::testing::TestParamInfo<Impairment>& info) {
       return info.param.name;
     });

@@ -1,38 +1,27 @@
 // Unit tests: video streaming QoE model — startup, steady playback at
-// sustainable bitrates, rebuffering when the link can't keep up, and the
-// fetch throttle.
+// sustainable bitrates, rebuffering when the link can't keep up, the fetch
+// throttle, and a frozen table of Table 6 runs.
 #include <gtest/gtest.h>
 
-#include "harness/testbed.h"
-#include "http/object_service.h"
-#include "http/quic_session.h"
+#include <cmath>
+#include <string>
+
+#include "harness/compare.h"
+#include "obs/profiler.h"
 #include "video/streaming.h"
 
 namespace longlook::video {
 namespace {
 
-QoeMetrics stream(const harness::Scenario& scenario, StreamingConfig cfg) {
-  harness::Testbed tb(scenario);
-  http::QuicObjectServer server(tb.sim(), tb.server_host(),
-                                harness::kQuicPort, quic::QuicConfig{});
-  quic::TokenCache tokens;
-  http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                  tb.server_host().address(),
-                                  harness::kQuicPort, quic::QuicConfig{},
-                                  tokens);
-  StreamingSession player(tb.sim(), session, cfg);
-  player.start(nullptr);
-  tb.run_until([&] { return player.finished(); },
-               cfg.watch_time + seconds(30));
-  return player.metrics();
+QoeMetrics stream(const harness::Scenario& scenario,
+                  const VideoQuality& quality) {
+  return harness::run_video(scenario, quality, harness::Protocol::kQuic);
 }
 
 TEST(Video, SmoothPlaybackAtSustainableBitrate) {
   harness::Scenario s;
   s.rate_bps = 50'000'000;
-  StreamingConfig cfg;
-  cfg.quality = quality_hd720();  // 2.5 Mbps << 50 Mbps
-  const QoeMetrics m = stream(s, cfg);
+  const QoeMetrics m = stream(s, quality_hd720());  // 2.5 Mbps << 50 Mbps
   EXPECT_TRUE(m.started);
   EXPECT_LT(m.time_to_start_s, 2.0);
   EXPECT_EQ(m.rebuffer_count, 0);
@@ -42,9 +31,7 @@ TEST(Video, SmoothPlaybackAtSustainableBitrate) {
 TEST(Video, RebuffersWhenBitrateExceedsLink) {
   harness::Scenario s;
   s.rate_bps = 20'000'000;  // hd2160 needs 45 Mbps
-  StreamingConfig cfg;
-  cfg.quality = quality_hd2160();
-  const QoeMetrics m = stream(s, cfg);
+  const QoeMetrics m = stream(s, quality_hd2160());
   EXPECT_TRUE(m.started);
   EXPECT_GT(m.rebuffer_count, 0);
   EXPECT_GT(m.stalled_seconds, 1.0);
@@ -56,12 +43,8 @@ TEST(Video, FractionLoadedScalesWithBitrate) {
   // covers a larger fraction of the hour-long video within the watch time.
   harness::Scenario s;
   s.rate_bps = 2'000'000;  // 2 Mbps: tiny (0.3 Mbps) ok, hd720 (2.5) is not
-  StreamingConfig tiny_cfg;
-  tiny_cfg.quality = quality_tiny();
-  StreamingConfig hd_cfg;
-  hd_cfg.quality = quality_hd720();
-  const QoeMetrics tiny = stream(s, tiny_cfg);
-  const QoeMetrics hd = stream(s, hd_cfg);
+  const QoeMetrics tiny = stream(s, quality_tiny());
+  const QoeMetrics hd = stream(s, quality_hd720());
   EXPECT_GT(tiny.fraction_loaded_pct, hd.fraction_loaded_pct);
   EXPECT_GT(hd.rebuffer_count, 0);
   EXPECT_EQ(tiny.rebuffer_count, 0);
@@ -70,13 +53,10 @@ TEST(Video, FractionLoadedScalesWithBitrate) {
 TEST(Video, ThrottleCapsBufferedAhead) {
   harness::Scenario s;
   s.rate_bps = 100'000'000;
-  StreamingConfig cfg;
-  cfg.quality = quality_tiny();        // trivially sustainable
-  cfg.max_buffer_ahead = seconds(30);  // tight cap
-  const QoeMetrics m = stream(s, cfg);
-  // At most ~watch time + cap worth of video fetched, never the whole hour.
-  const double max_expected_s = 60.0 + 30.0 + 10.0;
-  EXPECT_LT(m.fraction_loaded_pct, max_expected_s / 3600.0 * 100.0 + 1.0);
+  const QoeMetrics m = stream(s, quality_tiny());  // trivially sustainable
+  // The fetcher stops at 120 s buffered ahead of the playhead, which has
+  // advanced through the 60 s watched: 180 s of the hour, 5% = 500 bp.
+  EXPECT_EQ(std::llround(m.fraction_loaded_pct * 100), 500);
 }
 
 TEST(Video, QualityLadderIsOrdered) {
@@ -92,14 +72,71 @@ TEST(Video, QualityLadderIsOrdered) {
 TEST(Video, MetricsInternallyConsistent) {
   harness::Scenario s;
   s.rate_bps = 20'000'000;
-  StreamingConfig cfg;
-  cfg.quality = quality_hd2160();
-  const QoeMetrics m = stream(s, cfg);
+  const QoeMetrics m = stream(s, quality_hd2160());
   if (m.played_seconds > 0) {
     EXPECT_NEAR(m.rebuffers_per_played_sec,
                 m.rebuffer_count / m.played_seconds, 1e-9);
     EXPECT_NEAR(m.buffer_play_ratio_pct,
                 100.0 * m.stalled_seconds / m.played_seconds, 1e-9);
+  }
+}
+
+// Table 6's scenario (100 Mbps, 1% loss, round 0's seed 1300) at the
+// throttle-bound tier and the rebuffering tier, on both stacks. Pins the QoE
+// exactly and the run's simulator and link work, so any change to what goes
+// on the wire fails here: a request line one byte longer changes
+// bytes_moved even where the uplink's spare capacity hides it in time.
+TEST(Video, FrozenTable6Runs) {
+  using harness::Protocol;
+  struct Row {
+    VideoQuality quality;
+    Protocol protocol = Protocol::kQuic;
+    std::int64_t time_to_start_ns = 0;
+    std::int64_t segments = 0;  // fetched within the watch window
+    int rebuffers = 0;
+    std::int64_t played_us = 0;
+    std::int64_t stalled_us = 0;
+    std::uint64_t sim_events = 0;
+    std::uint64_t timer_ops = 0;
+    std::uint64_t packets_forwarded = 0;
+    std::uint64_t bytes_moved = 0;
+  };
+  const Row rows[] = {
+      {quality_tiny(), Protocol::kQuic, 121775325, 90, 0, 59900000, 0, 56417,
+       81425, 9313, 7370121},
+      {quality_tiny(), Protocol::kTcp, 324573854, 90, 0, 59600000, 0, 36606,
+       53960, 7719, 7277247},
+      {quality_hd2160(), Protocol::kQuic, 12912194192, 4, 2, 6000000,
+       41167409, 478754, 647283, 76855, 57714156},
+      {quality_hd2160(), Protocol::kTcp, 28141955328, 2, 1, 2000000, 29891815,
+       182990, 248725, 32748, 30129565},
+  };
+  harness::Scenario s;
+  s.rate_bps = 100'000'000;
+  s.loss_rate = 0.01;
+  s.seed = 1300;
+  for (const Row& row : rows) {
+    const std::string label =
+        row.quality.name +
+        (row.protocol == Protocol::kQuic ? " over QUIC" : " over TCP");
+    obs::Profiler profiler;
+    const QoeMetrics m =
+        harness::run_video(s, row.quality, row.protocol, &profiler);
+    // One segment is 2 s of a 3600 s video: 1/18 of a percent.
+    EXPECT_EQ(std::llround(m.time_to_start_s * 1e9), row.time_to_start_ns)
+        << label;
+    EXPECT_EQ(std::llround(m.fraction_loaded_pct * 18), row.segments)
+        << label;
+    EXPECT_EQ(m.rebuffer_count, row.rebuffers) << label;
+    EXPECT_EQ(std::llround(m.played_seconds * 1e6), row.played_us) << label;
+    EXPECT_EQ(std::llround(m.stalled_seconds * 1e6), row.stalled_us)
+        << label;
+    const obs::ProfilerSnapshot snap = profiler.snapshot();
+    EXPECT_EQ(snap.counter("sim_events"), row.sim_events) << label;
+    EXPECT_EQ(snap.counter("timer_ops"), row.timer_ops) << label;
+    EXPECT_EQ(snap.counter("packets_forwarded"), row.packets_forwarded)
+        << label;
+    EXPECT_EQ(snap.counter("bytes_moved"), row.bytes_moved) << label;
   }
 }
 
