@@ -14,7 +14,8 @@
 //                   experimenting with.
 #pragma once
 
-#include <map>
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "cc/types.h"
 #include "quic/frames.h"
 #include "quic/types.h"
+#include "util/pool.h"
 
 namespace longlook::quic {
 
@@ -44,15 +46,6 @@ struct StreamDataRef {
   bool fin = false;
   bool handshake = false;       // handshake message (re-queued from the log)
   bool window_update = false;   // WINDOW_UPDATE (regenerated on loss)
-};
-
-struct SentPacketInfo {
-  std::size_t bytes = 0;
-  TimePoint sent_time{};
-  bool retransmittable = false;
-  bool in_flight = false;
-  bool declared_lost = false;
-  std::vector<StreamDataRef> data;
 };
 
 struct AckProcessResult {
@@ -90,13 +83,18 @@ class SentPacketManager {
   std::vector<StreamDataRef> tail_loss_probe_data() const;
 
   std::size_t bytes_in_flight() const { return bytes_in_flight_; }
-  bool has_retransmittable_in_flight() const;
-  TimePoint oldest_in_flight_sent_time() const;
+  // Only retransmittable packets are ever in flight.
+  bool has_retransmittable_in_flight() const { return in_flight_count_ > 0; }
   TimePoint last_retransmittable_sent_time() const {
     return last_retransmittable_sent_;
   }
   PacketNumber largest_sent() const { return largest_sent_; }
-  PacketNumber least_unacked() const;
+  // Lowest packet number still in flight or declared lost (a late ACK can
+  // still reveal a declared-lost packet as spurious), else largest_sent()+1.
+  PacketNumber least_unacked() const {
+    return in_flight_count_ + lost_count_ > 0 ? least_unacked_
+                                              : largest_sent_ + 1;
+  }
   std::size_t current_nack_threshold() const { return nack_threshold_; }
 
   // Earliest time a not-yet-lost packet would cross the time threshold
@@ -109,20 +107,74 @@ class SentPacketManager {
   std::uint64_t total_spurious_losses() const { return spurious_losses_; }
 
  private:
-  void declare_lost(std::map<PacketNumber, SentPacketInfo>::iterator it,
-                    AckProcessResult& out);
+  // Unacked packets live in a ring of 64-slot blocks indexed by packet
+  // number, as in QUICHE's unacked-packet map: packet numbers are never
+  // reused, so `pn - base_` is a stable index. Each block keeps one bit mask
+  // per slot state, so every walk skips empty slots 64 at a time.
+  enum State : unsigned { kAckOnly, kInFlight, kLost, kEmpty };
+  using StateSet = unsigned;  // bit (1 << State) per member
+  static constexpr StateSet kAckOnlyBit = 1u << kAckOnly;
+  static constexpr StateSet kInFlightBit = 1u << kInFlight;
+  static constexpr StateSet kLostBit = 1u << kLost;
+  static constexpr std::size_t kBlockSlots = 64;
+
+  struct Slot {
+    std::size_t bytes = 0;
+    TimePoint sent_time{};
+    std::vector<StreamDataRef> data;
+  };
+  struct Block {
+    std::array<std::uint64_t, kEmpty> bits{};  // one mask per non-empty state
+    std::array<Slot, kBlockSlots> slots;
+    std::uint64_t occupied() const {
+      return bits[kAckOnly] | bits[kInFlight] | bits[kLost];
+    }
+  };
+
+  Block& block_of(PacketNumber pn) {
+    return blocks_[static_cast<std::size_t>((pn - base_) / kBlockSlots)];
+  }
+  const Block& block_of(PacketNumber pn) const {
+    return blocks_[static_cast<std::size_t>((pn - base_) / kBlockSlots)];
+  }
+  Slot& slot(PacketNumber pn) { return block_of(pn).slots[pn % kBlockSlots]; }
+  const Slot& slot(PacketNumber pn) const {
+    return block_of(pn).slots[pn % kBlockSlots];
+  }
+  // Adds the blocks that cover pn, below the front or past the back.
+  void cover(PacketNumber pn);
+  // Moves the slot at pn from state `from` to `to` and keeps the state
+  // counts. Emptying a slot frees its data.
+  void set_state(PacketNumber pn, State from, State to);
+  // Calls fn(pn, state) for each slot in [lo, stop) whose state is in
+  // `states`, in ascending pn order, until fn returns false. fn may change
+  // the state of the slot it is given, but of no other slot.
+  template <typename Fn>
+  void for_each(PacketNumber lo, PacketNumber stop, StateSet states,
+                Fn&& fn) const;
+  // Lowest in-flight or declared-lost pn at or above `from`, else
+  // largest_sent_ + 1.
+  PacketNumber first_unacked_from(PacketNumber from) const;
+  void declare_lost(PacketNumber pn, AckProcessResult& out);
   Duration loss_delay(const RttEstimator& rtt) const;
-  // bytes_in_flight_ equals the sum over tracked in-flight packets (O(n),
-  // LL_DCHECK-only).
-  bool in_flight_accounting_consistent() const;
+  // bytes_in_flight_, the state counts and the least-unacked cursor agree
+  // with the slots (O(n), LL_DCHECK-only).
+  bool bookkeeping_consistent() const;
 
   LossDetectionConfig config_;
   std::size_t nack_threshold_{config_.nack_threshold};
-  std::map<PacketNumber, SentPacketInfo> packets_;
+  util::RingBuffer<Block> blocks_;
+  PacketNumber base_ = 0;  // pn of blocks_.front().slots[0]; a multiple of 64
+  std::size_t in_flight_count_ = 0;
+  std::size_t lost_count_ = 0;
+  // Exact while in_flight_count_ + lost_count_ > 0. It only moves up: every
+  // retransmittable pn exceeds all earlier ones (checked on send).
+  PacketNumber least_unacked_ = 0;
+  // A retransmittable packet's pn must be at least this.
+  PacketNumber next_retransmittable_pn_ = 0;
   std::size_t bytes_in_flight_ = 0;
   PacketNumber largest_sent_ = 0;
   PacketNumber largest_acked_ = 0;
-  TimePoint largest_acked_sent_time_{};
   TimePoint last_retransmittable_sent_{};
   std::uint64_t losses_declared_ = 0;
   std::uint64_t spurious_losses_ = 0;

@@ -204,9 +204,18 @@ void TcpConnection::transmit(TcpSegment&& seg) {
 }
 
 std::uint64_t TcpConnection::advertised_window() const {
+  LL_DCHECK(reassembly_bytes_consistent())
+      << "reassembly byte count " << reassembly_bytes_
+      << " diverged from the buffered chunks";
+  return reassembly_bytes_ >= config_.recv_buffer
+             ? 0
+             : config_.recv_buffer - reassembly_bytes_;
+}
+
+bool TcpConnection::reassembly_bytes_consistent() const {
   std::size_t buffered = 0;
   for (const auto& [off, chunk] : reassembly_) buffered += chunk.size();
-  return buffered >= config_.recv_buffer ? 0 : config_.recv_buffer - buffered;
+  return buffered == reassembly_bytes_;
 }
 
 // --- Send path ---------------------------------------------------------------
@@ -654,7 +663,9 @@ void TcpConnection::process_payload(const TcpSegment& seg, TimePoint now) {
     }
     auto it = reassembly_.find(start);
     if (it == reassembly_.end() || it->second.size() < data.size()) {
-      reassembly_[start] = std::move(data);
+      Bytes& chunk = reassembly_[start];
+      reassembly_bytes_ += data.size() - chunk.size();
+      chunk = std::move(data);
     } else if (config_.dsack_enabled) {
       dsack_report = SackBlock{seg.seq, seg_end};
     }
@@ -670,6 +681,7 @@ void TcpConnection::deliver_in_order() {
     Bytes chunk = std::move(it->second);
     const std::uint64_t start = it->first;
     reassembly_.erase(it);
+    reassembly_bytes_ -= chunk.size();
     if (start + chunk.size() <= rcv_nxt_) continue;
     const std::size_t skip = static_cast<std::size_t>(rcv_nxt_ - start);
     BytesView fresh = BytesView(chunk).subspan(skip);

@@ -175,6 +175,8 @@ class TcpConnection : public obs::Sampleable {
   void maybe_send_ack(bool out_of_order, std::optional<SackBlock> dsack);
   std::vector<SackBlock> build_sack_blocks() const;
   std::uint64_t advertised_window() const;
+  // reassembly_bytes_ equals the sum over reassembly_ (O(n), LL_DCHECK-only).
+  bool reassembly_bytes_consistent() const;
 
   void arm_rto();
   void on_rto();
@@ -237,6 +239,7 @@ class TcpConnection : public obs::Sampleable {
 
   // --- Receive side ---
   std::map<std::uint64_t, Bytes> reassembly_;
+  std::size_t reassembly_bytes_ = 0;  // sum of the chunks' sizes
   std::uint64_t rcv_nxt_ = 0;
   std::optional<std::uint64_t> peer_fin_offset_;
   bool fin_delivered_ = false;

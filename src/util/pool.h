@@ -244,6 +244,7 @@ class ObjectPool {
 // Contiguous circular FIFO with power-of-two capacity. Replaces the
 // node-based std::deque in link/egress queues: pushes and pops touch one
 // cache line and allocate only on growth (doubling, amortised zero).
+// push_front lets a ring indexed by key grow below its front.
 template <typename T>
 class RingBuffer {
  public:
@@ -271,6 +272,13 @@ class RingBuffer {
     T* obj = new (address(physical(count_))) T(std::forward<Args>(args)...);
     ++count_;
     return *obj;
+  }
+
+  void push_front(T&& value) {
+    if (count_ == capacity_) grow();
+    head_ = (head_ + capacity_ - 1) & mask();
+    new (address(head_)) T(std::move(value));
+    ++count_;
   }
 
   T& front() {

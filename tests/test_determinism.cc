@@ -129,6 +129,19 @@ TEST(InvariantDeathTest, ReusedPacketNumberIsCaught) {
                "INVARIANT failed.*packet number 1 reused");
 }
 
+TEST(InvariantDeathTest, OutOfOrderRetransmittablePacketIsCaught) {
+  quic::SentPacketManager spm{quic::LossDetectionConfig{}};
+  const TimePoint t0 = TimePoint{} + milliseconds(10);
+  spm.on_packet_sent(5, 1200, t0, true, {});
+  // A deferred ack-only packet may land below earlier pns...
+  spm.on_packet_sent(3, 0, t0, false, {});
+  // ...but a retransmittable one must rise in both pn and sent time.
+  EXPECT_DEATH(spm.on_packet_sent(4, 1200, t0, true, {}),
+               "INVARIANT failed.*retransmittable pn 4 registered after pn 5");
+  EXPECT_DEATH(spm.on_packet_sent(6, 1200, TimePoint{}, true, {}),
+               "INVARIANT failed.*retransmittable pn 6 sent before");
+}
+
 TEST(InvariantDeathTest, AckOfUnsentPacketIsCaught) {
   quic::SentPacketManager spm{quic::LossDetectionConfig{}};
   spm.on_packet_sent(1, 1200, TimePoint{}, true, {});

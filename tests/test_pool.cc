@@ -216,6 +216,32 @@ TEST(RingBuffer, LogicalIndexingFollowsHead) {
   EXPECT_EQ(ring.back(), 19);
 }
 
+TEST(RingBuffer, PushFrontWrapsAndGrowsWithHeadOffset) {
+  RingBuffer<int> ring;
+  // Offset the head, then push at the front across the physical start.
+  for (int i = 0; i < 8; ++i) ring.push_back(int{i});
+  for (int i = 0; i < 3; ++i) ring.pop_front();  // holds 3..7, head at 3
+  for (int i = 2; i >= -5; --i) ring.push_front(int{i});  // wraps below 0
+  EXPECT_EQ(ring.size(), 13u);
+  EXPECT_EQ(ring.capacity(), 16u);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i], static_cast<int>(i) - 5);
+  }
+  // Grow while the head sits mid-array, from both ends.
+  for (int i = 8; i < 12; ++i) ring.push_back(int{i});
+  for (int i = -6; i >= -20; --i) ring.push_front(int{i});
+  EXPECT_EQ(ring.size(), 32u);
+  EXPECT_EQ(ring.capacity(), 32u);
+  EXPECT_EQ(ring.growths(), 2u);
+  EXPECT_EQ(ring.front(), -20);
+  EXPECT_EQ(ring.back(), 11);
+  for (int i = -20; i < 12; ++i) {
+    EXPECT_EQ(ring.front(), i);
+    ring.pop_front();
+  }
+  EXPECT_TRUE(ring.empty());
+}
+
 TEST(RingBuffer, ClearDestroysAllElements) {
   RingBuffer<std::shared_ptr<int>> ring;
   auto witness = std::make_shared<int>(1);

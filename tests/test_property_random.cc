@@ -7,16 +7,20 @@
 //  * AckManager ranges: always equal to a reference std::set of received
 //    packet numbers.
 //  * SentPacketManager: bytes_in_flight always equals the oracle's
-//    outstanding-retransmittable-bytes under random ack/loss interleaving.
+//    outstanding-retransmittable-bytes under random ack/loss interleaving,
+//    and the ring answers every query exactly as the map-based reference
+//    (sent_packet_manager_reference.h) does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <tuple>
 
 #include "quic/ack_manager.h"
 #include "quic/sent_packet_manager.h"
 #include "quic/stream.h"
+#include "sent_packet_manager_reference.h"
 #include "util/rng.h"
 
 namespace longlook::quic {
@@ -164,6 +168,183 @@ TEST_P(RandomSeed, SentPacketManagerFlightAccountingMatchesOracle) {
       for (auto& [pn, o] : oracle) o.outstanding = false;
     }
     ASSERT_EQ(spm.bytes_in_flight(), oracle_in_flight()) << "step " << step;
+  }
+}
+
+// Comparable views of the manager's result records.
+using RefKey =
+    std::tuple<StreamId, std::uint64_t, std::size_t, bool, bool, bool>;
+using AckedKey = std::tuple<PacketNumber, std::size_t, TimePoint>;
+
+std::vector<RefKey> refs_of(const std::vector<StreamDataRef>& refs) {
+  std::vector<RefKey> out;
+  out.reserve(refs.size());
+  for (const StreamDataRef& r : refs) {
+    out.emplace_back(r.stream_id, r.offset, r.len, r.fin, r.handshake,
+                     r.window_update);
+  }
+  return out;
+}
+
+std::vector<AckedKey> acked_of(const std::vector<AckedPacket>& acked) {
+  std::vector<AckedKey> out;
+  out.reserve(acked.size());
+  for (const AckedPacket& a : acked) {
+    out.emplace_back(a.packet_number, a.bytes, a.sent_time);
+  }
+  return out;
+}
+
+std::vector<std::pair<PacketNumber, std::size_t>> lost_of(
+    const std::vector<LostPacket>& lost) {
+  std::vector<std::pair<PacketNumber, std::size_t>> out;
+  out.reserve(lost.size());
+  for (const LostPacket& l : lost) out.emplace_back(l.packet_number, l.bytes);
+  return out;
+}
+
+void expect_same_result(const AckProcessResult& ring,
+                        const AckProcessResult& ref, int step) {
+  EXPECT_EQ(acked_of(ring.acked), acked_of(ref.acked)) << "step " << step;
+  EXPECT_EQ(lost_of(ring.lost), lost_of(ref.lost)) << "step " << step;
+  EXPECT_EQ(refs_of(ring.lost_data), refs_of(ref.lost_data)) << "step " << step;
+  EXPECT_EQ(acked_of(ring.spurious_acked), acked_of(ref.spurious_acked))
+      << "step " << step;
+  EXPECT_EQ(refs_of(ring.spurious_data), refs_of(ref.spurious_data))
+      << "step " << step;
+  EXPECT_EQ(ring.rtt_updated, ref.rtt_updated) << "step " << step;
+  EXPECT_EQ(ring.spurious_loss_detected, ref.spurious_loss_detected)
+      << "step " << step;
+  EXPECT_EQ(ring.largest_newly_acked, ref.largest_newly_acked)
+      << "step " << step;
+}
+
+// The sender's packet-number ring against the map it replaced, in all three
+// loss-detection modes, under schedules shaped like the connection's: data
+// packets registered in pn and time order; ack-only packets whose
+// registration is deferred (as send_ack_now defers them), so they land out
+// of order and, after the front has moved on, below it; ACK frames with
+// overlapping, repeated and out-of-order ranges; late ACKs of declared-lost
+// packets; TLP and RTO; and idle gaps longer than 2 RTOs so stale losses are
+// collected.
+TEST_P(RandomSeed, SentPacketRingMatchesMapReference) {
+  for (const LossDetectionMode mode :
+       {LossDetectionMode::kFixedNack, LossDetectionMode::kAdaptiveNack,
+        LossDetectionMode::kTimeThreshold}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    Rng rng(GetParam() * 17 + static_cast<std::uint64_t>(mode));
+    LossDetectionConfig cfg;
+    cfg.mode = mode;
+    SentPacketManager ring(cfg);
+    ReferenceSentPacketManager ref(cfg);
+    RttEstimator ring_rtt;
+    RttEstimator ref_rtt;
+    TimePoint now{};
+    PacketNumber next_pn = 1;
+    std::uint64_t next_offset = 0;
+    std::vector<PacketNumber> deferred;  // ack-only pns not yet registered
+    std::vector<PacketNumber> lost;      // candidates for late ACKs
+
+    auto register_packet = [&](PacketNumber pn, bool retransmittable) {
+      std::size_t bytes = 0;
+      std::vector<StreamDataRef> data;
+      if (retransmittable) {
+        bytes = 100 + rng.uniform_int(1250);
+        // Some data packets carry no stream data (TLP must skip them).
+        const std::size_t n = rng.uniform_int(3);
+        for (std::size_t i = 0; i < n; ++i) {
+          StreamDataRef r;
+          r.stream_id = 3 + 2 * rng.uniform_int(4);
+          r.offset = next_offset;
+          r.len = 1 + rng.uniform_int(500);
+          r.fin = rng.bernoulli(0.05);
+          next_offset += r.len;
+          data.push_back(r);
+        }
+      }
+      ring.on_packet_sent(pn, bytes, now, retransmittable, data);
+      ref.on_packet_sent(pn, bytes, now, retransmittable, std::move(data));
+    };
+
+    for (int step = 0; step < 3000; ++step) {
+      now += microseconds(static_cast<std::int64_t>(rng.uniform_int(3000)));
+      const double dice = rng.uniform();
+      AckProcessResult ring_out;
+      AckProcessResult ref_out;
+      if (dice < 0.35) {
+        register_packet(next_pn++, true);
+      } else if (dice < 0.40) {
+        register_packet(next_pn++, false);
+      } else if (dice < 0.48) {
+        deferred.push_back(next_pn++);
+      } else if (dice < 0.55 && !deferred.empty()) {
+        const std::size_t i = rng.uniform_int(deferred.size());
+        register_packet(deferred[i], false);
+        deferred.erase(deferred.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (dice < 0.90 && ref.largest_sent() > 0) {
+        // An ACK: mostly recent packets, with holes, overlaps, repeats and
+        // late single-packet ranges for packets already declared lost.
+        const PacketNumber top = ref.largest_sent();
+        AckFrame ack;
+        ack.largest_acked = top - std::min<PacketNumber>(
+                                      top - 1, rng.uniform_int(8));
+        ack.ack_delay =
+            microseconds(static_cast<std::int64_t>(rng.uniform_int(5000)));
+        const std::size_t ranges = 1 + rng.uniform_int(4);
+        for (std::size_t r = 0; r < ranges; ++r) {
+          const PacketNumber hi =
+              r == 0 ? ack.largest_acked
+                     : ack.largest_acked -
+                           rng.uniform_int(std::min<PacketNumber>(
+                               ack.largest_acked, 120));
+          const PacketNumber width = rng.uniform_int(std::min<PacketNumber>(
+              hi, rng.bernoulli(0.3) ? 200 : 20));
+          ack.ranges.push_back({hi - width, hi});
+          if (rng.bernoulli(0.1)) ack.ranges.push_back(ack.ranges.back());
+        }
+        if (!lost.empty() && rng.bernoulli(0.3)) {
+          const PacketNumber pn = lost[rng.uniform_int(lost.size())];
+          if (pn <= ack.largest_acked) ack.ranges.push_back({pn, pn});
+        }
+        if (rng.bernoulli(0.1)) ack.ranges.pop_back();
+        ring_out = ring.on_ack(ack, now, ring_rtt);
+        ref_out = ref.on_ack(ack, now, ref_rtt);
+      } else if (dice < 0.94) {
+        ring_out = ring.detect_time_losses(now, ring_rtt);
+        ref_out = ref.detect_time_losses(now, ref_rtt);
+      } else if (dice < 0.97) {
+        EXPECT_EQ(refs_of(ring.on_retransmission_timeout()),
+                  refs_of(ref.on_retransmission_timeout()))
+            << "step " << step;
+      } else if (dice < 0.99) {
+        // Idle past 2 RTOs: the next ACK collects every stale loss.
+        now += 3 * ref_rtt.retransmission_timeout();
+      }
+      expect_same_result(ring_out, ref_out, step);
+      for (const LostPacket& l : ref_out.lost) lost.push_back(l.packet_number);
+      ASSERT_EQ(ring.bytes_in_flight(), ref.bytes_in_flight())
+          << "step " << step;
+      ASSERT_EQ(ring.least_unacked(), ref.least_unacked()) << "step " << step;
+      ASSERT_EQ(ring.has_retransmittable_in_flight(),
+                ref.has_retransmittable_in_flight())
+          << "step " << step;
+      ASSERT_EQ(ring.earliest_loss_time(ring_rtt),
+                ref.earliest_loss_time(ref_rtt))
+          << "step " << step;
+      ASSERT_EQ(refs_of(ring.tail_loss_probe_data()),
+                refs_of(ref.tail_loss_probe_data()))
+          << "step " << step;
+      ASSERT_EQ(ring.largest_sent(), ref.largest_sent()) << "step " << step;
+      ASSERT_EQ(ring.current_nack_threshold(), ref.current_nack_threshold())
+          << "step " << step;
+      ASSERT_EQ(ring.total_packets_declared_lost(),
+                ref.total_packets_declared_lost())
+          << "step " << step;
+      ASSERT_EQ(ring.total_spurious_losses(), ref.total_spurious_losses())
+          << "step " << step;
+      ASSERT_EQ(ring_rtt.smoothed(), ref_rtt.smoothed()) << "step " << step;
+      ASSERT_FALSE(HasFailure()) << "step " << step;
+    }
   }
 }
 
