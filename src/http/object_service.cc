@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "util/bytes.h"
 #include "util/logging.h"
 
 namespace longlook::http {
@@ -79,10 +80,10 @@ void ObjectService::respond(AppStream& stream, std::size_t size,
   // whole response.
   static constexpr std::size_t kChunk = 512 * 1024;
   static constexpr std::size_t kBacklogLimit = 2 * 1024 * 1024;
+  static_assert(2 * kChunk <= util::kZeroBytesMax);
   auto do_respond = [this, &stream, size, flush] {
     if (size <= 2 * kChunk) {
-      Bytes body(size, 0);
-      stream.write(body, /*fin=*/true);
+      stream.write(util::zero_bytes(size), /*fin=*/true);
       if (flush) flush();
       return;
     }
@@ -96,9 +97,8 @@ void ObjectService::respond(AppStream& stream, std::size_t size,
       bool wrote = false;
       while (*remaining > 0 && stream.write_backlog() < kBacklogLimit) {
         const std::size_t n = std::min(kChunk, *remaining);
-        Bytes chunk(n, 0);
         *remaining -= n;
-        stream.write(chunk, /*fin=*/*remaining == 0);
+        stream.write(util::zero_bytes(n), /*fin=*/*remaining == 0);
         wrote = true;
       }
       if (wrote && flush) flush();

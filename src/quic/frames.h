@@ -90,6 +90,10 @@ struct QuicPacket {
 
 // --- Codec ---------------------------------------------------------------
 
+// FNV-1a over `data`: the hash behind the packet integrity tag (the AEAD
+// stand-in). Exact for every input; zero runs take a fast path.
+std::uint64_t fnv1a(BytesView data);
+
 Bytes encode_packet(const QuicPacket& p);
 // nullopt on truncation, unknown frame type, or tag mismatch.
 std::optional<QuicPacket> decode_packet(BytesView data);

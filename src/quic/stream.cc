@@ -14,28 +14,28 @@ QuicStream::QuicStream(StreamId id, std::size_t send_window,
       advertised_max_(recv_window) {}
 
 void QuicStream::write(BytesView data, bool fin) {
-  send_buffer_.insert(send_buffer_.end(), data.begin(), data.end());
+  send_buffer_.append(data);
   if (fin) fin_written_ = true;
   if (on_sendable_) on_sendable_();
 }
 
 bool QuicStream::has_pending_data() const {
   if (!retx_.empty()) return true;
-  if (next_send_offset_ < send_buffer_.size()) return true;
+  if (next_send_offset_ < send_buffer_.end_offset()) return true;
   return fin_written_ && !fin_sent_;
 }
 
 bool QuicStream::blocked_by_stream_fc() const {
   if (!retx_.empty()) return false;  // retransmissions are within the window
-  return next_send_offset_ < send_buffer_.size() &&
+  return next_send_offset_ < send_buffer_.end_offset() &&
          next_send_offset_ >= peer_max_offset_;
 }
 
 std::optional<SendChunk> QuicStream::take_chunk(std::size_t max_len,
                                                 std::uint64_t conn_allowance) {
-  LL_INVARIANT(next_send_offset_ <= send_buffer_.size())
+  LL_INVARIANT(next_send_offset_ <= send_buffer_.end_offset())
       << "stream " << id_ << " send offset " << next_send_offset_
-      << " past buffered " << send_buffer_.size();
+      << " past buffered " << send_buffer_.end_offset();
   if (max_len == 0) return std::nullopt;
   // Retransmissions first: fastest way to fill holes at the receiver.
   if (!retx_.empty()) {
@@ -44,9 +44,7 @@ std::optional<SendChunk> QuicStream::take_chunk(std::size_t max_len,
     chunk.offset = r.offset;
     chunk.is_retransmission = true;
     const std::size_t n = std::min(max_len, r.len);
-    chunk.data.assign(
-        send_buffer_.begin() + static_cast<std::ptrdiff_t>(r.offset),
-        send_buffer_.begin() + static_cast<std::ptrdiff_t>(r.offset + n));
+    chunk.data = send_buffer_.copy_out(r.offset, n);
     if (n == r.len) {
       chunk.fin = r.fin;
       retx_.erase(retx_.begin());
@@ -60,7 +58,7 @@ std::optional<SendChunk> QuicStream::take_chunk(std::size_t max_len,
   // Fresh data, limited by stream and connection flow control.
   const std::uint64_t fc_limit = std::min<std::uint64_t>(
       peer_max_offset_, next_send_offset_ + conn_allowance);
-  const std::uint64_t buffered = send_buffer_.size();
+  const std::uint64_t buffered = send_buffer_.end_offset();
   const std::uint64_t sendable_end =
       std::min<std::uint64_t>(buffered, fc_limit);
   if (next_send_offset_ < sendable_end) {
@@ -68,10 +66,7 @@ std::optional<SendChunk> QuicStream::take_chunk(std::size_t max_len,
         std::min<std::uint64_t>(max_len, sendable_end - next_send_offset_));
     SendChunk chunk;
     chunk.offset = next_send_offset_;
-    chunk.data.assign(
-        send_buffer_.begin() + static_cast<std::ptrdiff_t>(next_send_offset_),
-        send_buffer_.begin() +
-            static_cast<std::ptrdiff_t>(next_send_offset_ + n));
+    chunk.data = send_buffer_.copy_out(next_send_offset_, n);
     next_send_offset_ += n;
     if (fin_written_ && next_send_offset_ == buffered) {
       chunk.fin = true;

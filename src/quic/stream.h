@@ -15,6 +15,7 @@
 
 #include "quic/types.h"
 #include "util/bytes.h"
+#include "util/stream_buffer.h"
 
 namespace longlook::quic {
 
@@ -103,7 +104,8 @@ class QuicStream {
   std::uint64_t bytes_sent() const { return next_send_offset_; }
   // Bytes written by the app but not yet sent (backpressure signal).
   std::size_t send_backlog() const {
-    return send_buffer_.size() - static_cast<std::size_t>(next_send_offset_);
+    return static_cast<std::size_t>(send_buffer_.end_offset() -
+                                    next_send_offset_);
   }
 
  private:
@@ -114,11 +116,10 @@ class QuicStream {
   };
 
   StreamId id_ = 0;
-  // Send side.
-  Bytes send_buffer_;
+  // Send side. Every byte written stays until the stream is destroyed: a
+  // late loss, a TLP or an RTO can requeue any range still outstanding.
+  util::StreamBuffer send_buffer_;
   std::uint64_t next_send_offset_ = 0;
-  bool fin_written_ = false;
-  bool fin_sent_ = false;
   std::uint64_t peer_max_offset_ = 0;
   std::vector<RetxRange> retx_;
   // Receive side.
@@ -127,10 +128,13 @@ class QuicStream {
   std::uint64_t consumed_ = 0;  // app-consumed: what flow control credits
   std::uint64_t advertised_max_ = 0;
   TimePoint last_window_update_{};
-  bool any_window_update_ = false;
   std::map<std::uint64_t, Bytes> reassembly_;
-  bool fin_received_ = false;
   std::uint64_t fin_offset_ = 0;
+  // The flags share one word: rpc_churn keeps thousands of streams alive.
+  bool fin_written_ = false;
+  bool fin_sent_ = false;
+  bool any_window_update_ = false;
+  bool fin_received_ = false;
   bool fin_signalled_ = false;
   std::function<void(BytesView, bool)> on_data_;
   std::function<void()> on_sendable_;

@@ -16,9 +16,6 @@ constexpr std::size_t kTlsServerFinish = 51;
 constexpr std::size_t kTlsClientInbound = kTlsServerFlight + kTlsServerFinish;
 constexpr std::size_t kTlsServerInbound = kTlsClientHello + kTlsClientFinish;
 
-// Acknowledged send-buffer bytes are dropped in batches of at least this.
-constexpr std::uint64_t kMinAckedRelease = 64 * 1024;
-
 }  // namespace
 
 CubicSenderConfig TcpConfig::make_cc_config() const {
@@ -110,8 +107,7 @@ void TcpConnection::enter_established(TimePoint now) {
   if (config_.tls_enabled) {
     if (is_client_) {
       // TLS flight 1: ClientHello.
-      Bytes hello(kTlsClientHello, 0);
-      send_buffer_.insert(send_buffer_.end(), hello.begin(), hello.end());
+      send_buffer_.append(util::zero_bytes(kTlsClientHello));
       try_send();
     }
   } else {
@@ -137,8 +133,7 @@ void TcpConnection::tls_step_on_receive() {
   if (is_client_) {
     if (tls_phase_ == 0 && tls_recv_count_ >= kTlsServerFlight) {
       tls_phase_ = 1;
-      Bytes finish(kTlsClientFinish, 0);
-      send_buffer_.insert(send_buffer_.end(), finish.begin(), finish.end());
+      send_buffer_.append(util::zero_bytes(kTlsClientFinish));
       try_send();
     }
     if (tls_recv_count_ >= kTlsClientInbound) {
@@ -148,14 +143,12 @@ void TcpConnection::tls_step_on_receive() {
   } else {
     if (tls_phase_ == 0 && tls_recv_count_ >= kTlsClientHello) {
       tls_phase_ = 1;
-      Bytes flight(kTlsServerFlight, 0);
-      send_buffer_.insert(send_buffer_.end(), flight.begin(), flight.end());
+      send_buffer_.append(util::zero_bytes(kTlsServerFlight));
       try_send();
     }
     if (tls_recv_count_ >= kTlsServerInbound) {
       tls_done_ = true;
-      Bytes finish(kTlsServerFinish, 0);
-      send_buffer_.insert(send_buffer_.end(), finish.begin(), finish.end());
+      send_buffer_.append(util::zero_bytes(kTlsServerFinish));
       maybe_fire_app_established();
     }
   }
@@ -164,11 +157,11 @@ void TcpConnection::tls_step_on_receive() {
 // --- Application API --------------------------------------------------------
 
 void TcpConnection::write(BytesView data, bool fin) {
-  send_buffer_.insert(send_buffer_.end(), data.begin(), data.end());
+  send_buffer_.append(data);
   if (fin && !fin_queued_) {
     // The FIN occupies one virtual byte at the end of the stream so that
     // cumulative ACK / SACK machinery covers it with no special cases.
-    send_buffer_.push_back(0);
+    send_buffer_.append(util::zero_bytes(1));
     fin_offset_ = send_end() - 1;
     fin_queued_ = true;
   }
@@ -338,29 +331,11 @@ bool TcpConnection::send_one_segment(TimePoint now) {
   return false;
 }
 
-void TcpConnection::release_acked() {
-  // Every (re)transmission starts at or above snd_una_, so the bytes below
-  // it are never read again. Dropping them only once they are half the
-  // buffer keeps the move amortised O(1) per byte, and bounds the buffer by
-  // what is in flight or unsent instead of by everything ever written.
-  const std::uint64_t acked = std::min(snd_una_, send_end()) - send_base_;
-  if (acked < kMinAckedRelease || 2 * acked < send_buffer_.size()) return;
-  send_buffer_.erase(send_buffer_.begin(),
-                     send_buffer_.begin() + static_cast<std::ptrdiff_t>(acked));
-  send_base_ += acked;
-}
-
 void TcpConnection::send_segment_at(std::uint64_t offset, std::size_t len,
                                     bool is_retx, TimePoint now) {
-  LL_CHECK(offset >= send_base_ && offset + len <= send_end())
-      << "segment [" << offset << ", " << offset + len
-      << ") outside the send buffer [" << send_base_ << ", " << send_end()
-      << ")";
   TcpSegment seg = make_base_segment();
   seg.seq = offset;
-  const auto first =
-      send_buffer_.begin() + static_cast<std::ptrdiff_t>(offset - send_base_);
-  seg.payload.assign(first, first + static_cast<std::ptrdiff_t>(len));
+  seg.payload = send_buffer_.copy_out(offset, len);
   if (fin_queued_ && offset + len - 1 == fin_offset_) seg.fin = true;
   // Piggyback SACK state for the peer.
   seg.sack = build_sack_blocks();
@@ -523,7 +498,9 @@ void TcpConnection::process_ack(const TcpSegment& seg, TimePoint now) {
     snd_una_ = seg.ack;
     if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;  // post-RTO late ACK
     if (retx_next_ < snd_una_) retx_next_ = snd_una_;
-    release_acked();
+    // Every (re)transmission starts at or above snd_una_, so the blocks
+    // below it are never read again.
+    send_buffer_.release_before(snd_una_);
     dupack_count_ = 0;
     consecutive_rto_ = 0;
     probe_count_ = 0;
@@ -654,22 +631,30 @@ void TcpConnection::process_payload(const TcpSegment& seg, TimePoint now) {
       dsack_report = SackBlock{seg.seq, seg_end};
     }
   } else {
-    Bytes data = seg.payload;
+    BytesView data = seg.payload;
     std::uint64_t start = seg.seq;
     if (start < rcv_nxt_) {
-      data.erase(data.begin(),
-                 data.begin() + static_cast<std::ptrdiff_t>(rcv_nxt_ - start));
+      data = data.subspan(static_cast<std::size_t>(rcv_nxt_ - start));
       start = rcv_nxt_;
     }
-    auto it = reassembly_.find(start);
-    if (it == reassembly_.end() || it->second.size() < data.size()) {
-      Bytes& chunk = reassembly_[start];
-      reassembly_bytes_ += data.size() - chunk.size();
-      chunk = std::move(data);
-    } else if (config_.dsack_enabled) {
-      dsack_report = SackBlock{seg.seq, seg_end};
+    if (start == rcv_nxt_ && reassembly_.empty()) {
+      // In order with nothing buffered: deliver straight from the segment.
+      deliver_fresh(data);
+    } else {
+      auto it = reassembly_.find(start);
+      if (it == reassembly_.end() || it->second.size() < data.size()) {
+        it = reassembly_.try_emplace(it, start);
+        reassembly_bytes_ += data.size() - it->second.size();
+        it->second.assign(data.begin(), data.end());
+        // A new or longer chunk can change whether it and its successor
+        // begin SACK runs; no other chunk's predecessor changed.
+        refresh_run_start(it);
+        refresh_run_start(std::next(it));
+      } else if (config_.dsack_enabled) {
+        dsack_report = SackBlock{seg.seq, seg_end};
+      }
+      deliver_in_order();
     }
-    deliver_in_order();
   }
   maybe_send_ack(out_of_order || !reassembly_.empty(), dsack_report);
 }
@@ -680,48 +665,87 @@ void TcpConnection::deliver_in_order() {
     if (it == reassembly_.end() || it->first > rcv_nxt_) break;
     Bytes chunk = std::move(it->second);
     const std::uint64_t start = it->first;
-    reassembly_.erase(it);
+    run_starts_.erase(start);
+    it = reassembly_.erase(it);
+    // The new front begins a run. Keep the index exact before delivering:
+    // the callbacks below may send a segment, which reads it.
+    refresh_run_start(it);
     reassembly_bytes_ -= chunk.size();
     if (start + chunk.size() <= rcv_nxt_) continue;
     const std::size_t skip = static_cast<std::size_t>(rcv_nxt_ - start);
-    BytesView fresh = BytesView(chunk).subspan(skip);
-    const std::uint64_t fresh_start = rcv_nxt_;
-    rcv_nxt_ += fresh.size();
+    deliver_fresh(BytesView(chunk).subspan(skip));
+  }
+}
 
-    // Split into TLS-script bytes and application bytes.
-    std::uint64_t pos = fresh_start;
-    std::size_t idx = 0;
-    if (pos < app_recv_offset_) {
-      const std::size_t tls_n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(fresh.size(), app_recv_offset_ - pos));
-      tls_recv_count_ += tls_n;
-      pos += tls_n;
-      idx += tls_n;
-      tls_step_on_receive();
+void TcpConnection::deliver_fresh(BytesView fresh) {
+  const std::uint64_t fresh_start = rcv_nxt_;
+  rcv_nxt_ += fresh.size();
+
+  // Split into TLS-script bytes and application bytes.
+  std::uint64_t pos = fresh_start;
+  std::size_t idx = 0;
+  if (pos < app_recv_offset_) {
+    const std::size_t tls_n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(fresh.size(), app_recv_offset_ - pos));
+    tls_recv_count_ += tls_n;
+    pos += tls_n;
+    idx += tls_n;
+    tls_step_on_receive();
+  }
+  if (idx < fresh.size()) {
+    BytesView app = fresh.subspan(idx);
+    // Exclude the virtual FIN byte from app delivery.
+    bool fin_now = false;
+    if (peer_fin_offset_ && pos + app.size() > *peer_fin_offset_) {
+      app = app.first(static_cast<std::size_t>(*peer_fin_offset_ - pos));
+      fin_now = rcv_nxt_ > *peer_fin_offset_;
     }
-    if (idx < fresh.size()) {
-      BytesView app = fresh.subspan(idx);
-      // Exclude the virtual FIN byte from app delivery.
-      bool fin_now = false;
-      if (peer_fin_offset_ && pos + app.size() > *peer_fin_offset_) {
-        app = app.first(static_cast<std::size_t>(*peer_fin_offset_ - pos));
-        fin_now = rcv_nxt_ > *peer_fin_offset_;
-      }
-      app_delivered_ += app.size();
-      if (on_data_ && (!app.empty() || fin_now) && !fin_delivered_) {
-        if (fin_now) fin_delivered_ = true;
-        on_data_(app, fin_now);
-      }
-    } else if (peer_fin_offset_ && rcv_nxt_ > *peer_fin_offset_ &&
-               !fin_delivered_) {
-      fin_delivered_ = true;
-      if (on_data_) on_data_({}, true);
+    app_delivered_ += app.size();
+    if (on_data_ && (!app.empty() || fin_now) && !fin_delivered_) {
+      if (fin_now) fin_delivered_ = true;
+      on_data_(app, fin_now);
     }
+  } else if (peer_fin_offset_ && rcv_nxt_ > *peer_fin_offset_ &&
+             !fin_delivered_) {
+    fin_delivered_ = true;
+    if (on_data_) on_data_({}, true);
+  }
+}
+
+void TcpConnection::refresh_run_start(
+    std::map<std::uint64_t, Bytes>::const_iterator it) {
+  if (it == reassembly_.end()) return;
+  bool begins = true;
+  if (it != reassembly_.begin()) {
+    const auto prev = std::prev(it);
+    begins = prev->first + prev->second.size() != it->first;
+  }
+  if (begins) {
+    run_starts_.insert(it->first);
+  } else {
+    run_starts_.erase(it->first);
   }
 }
 
 std::vector<SackBlock> TcpConnection::build_sack_blocks() const {
   if (!config_.sack_enabled) return {};
+  // The most recent (highest) three runs, lowest first. A run ends where
+  // the chunk before the next run's first chunk ends.
+  std::vector<SackBlock> blocks;
+  auto next_run = reassembly_.end();
+  for (auto r = run_starts_.rbegin();
+       r != run_starts_.rend() && blocks.size() < 3; ++r) {
+    const auto last = std::prev(next_run);
+    blocks.push_back({*r, last->first + last->second.size()});
+    next_run = reassembly_.find(*r);
+  }
+  std::reverse(blocks.begin(), blocks.end());
+  LL_DCHECK(blocks == sack_blocks_by_walk())
+      << "SACK run index diverged from the reassembly chunks";
+  return blocks;
+}
+
+std::vector<SackBlock> TcpConnection::sack_blocks_by_walk() const {
   std::vector<SackBlock> blocks;
   SackBlock current{0, 0};
   for (const auto& [off, chunk] : reassembly_) {

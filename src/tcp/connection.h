@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 
 #include "cc/cubic_sender.h"
 #include "cc/rtt_estimator.h"
@@ -25,6 +26,7 @@
 #include "obs/trace.h"
 #include "sim/timer.h"
 #include "tcp/segment.h"
+#include "util/stream_buffer.h"
 
 namespace longlook::tcp {
 
@@ -108,7 +110,8 @@ class TcpConnection : public obs::Sampleable {
     return static_cast<std::size_t>(send_end() - snd_nxt_);
   }
   // Stream bytes still held for (re)transmission: unacknowledged plus not
-  // yet sent. Acknowledged bytes are released as the ACKs arrive.
+  // yet sent, and the acknowledged front of the block the oldest of them
+  // is in (acknowledged bytes are released a whole block at a time).
   std::size_t send_buffered() const { return send_buffer_.size(); }
 
   // Push buffered app data out (call after write()).
@@ -147,10 +150,7 @@ class TcpConnection : public obs::Sampleable {
   void try_send();
   bool send_one_segment(TimePoint now);
   // One past the last stream offset written (TLS, app data, FIN byte).
-  std::uint64_t send_end() const { return send_base_ + send_buffer_.size(); }
-  // Drops the acknowledged bytes at the front of send_buffer_ once they
-  // make up half of it.
-  void release_acked();
+  std::uint64_t send_end() const { return send_buffer_.end_offset(); }
   void send_segment_at(std::uint64_t offset, std::size_t len, bool is_retx,
                        TimePoint now);
   void send_pure_ack(bool immediate_dsack = false,
@@ -172,8 +172,16 @@ class TcpConnection : public obs::Sampleable {
 
   void process_payload(const TcpSegment& seg, TimePoint now);
   void deliver_in_order();
+  // Hands `fresh`, the stream bytes at rcv_nxt_, to the TLS model and the
+  // application, and advances rcv_nxt_ past them.
+  void deliver_fresh(BytesView fresh);
   void maybe_send_ack(bool out_of_order, std::optional<SackBlock> dsack);
+  // Re-derives whether the chunk at `it` begins a SACK run (run_starts_).
+  void refresh_run_start(std::map<std::uint64_t, Bytes>::const_iterator it);
+  // The last three SACK runs, read from run_starts_ in O(log n).
   std::vector<SackBlock> build_sack_blocks() const;
+  // The same blocks from a walk over every chunk (O(n), LL_DCHECK-only).
+  std::vector<SackBlock> sack_blocks_by_walk() const;
   std::uint64_t advertised_window() const;
   // reassembly_bytes_ equals the sum over reassembly_ (O(n), LL_DCHECK-only).
   bool reassembly_bytes_consistent() const;
@@ -215,9 +223,8 @@ class TcpConnection : public obs::Sampleable {
 
   // --- Send side ---
   // Logical stream (TLS bytes then app bytes, +fin byte) from offset
-  // send_base_ on; the acknowledged bytes below it are gone.
-  Bytes send_buffer_;
-  std::uint64_t send_base_ = 0;
+  // send_buffer_.begin_offset() on; the blocks below snd_una_ are freed.
+  util::StreamBuffer send_buffer_;
   std::uint64_t snd_una_ = 0;
   std::uint64_t snd_nxt_ = 0;
   bool fin_queued_ = false;
@@ -240,6 +247,10 @@ class TcpConnection : public obs::Sampleable {
   // --- Receive side ---
   std::map<std::uint64_t, Bytes> reassembly_;
   std::size_t reassembly_bytes_ = 0;  // sum of the chunks' sizes
+  // Offsets of the chunks that begin a SACK run: the first chunk and every
+  // chunk that does not start exactly where its predecessor ends (so an
+  // overlapping chunk begins a new run). In-order data never enters it.
+  std::set<std::uint64_t> run_starts_;
   std::uint64_t rcv_nxt_ = 0;
   std::optional<std::uint64_t> peer_fin_offset_;
   bool fin_delivered_ = false;

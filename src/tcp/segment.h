@@ -18,6 +18,8 @@ namespace longlook::tcp {
 struct SackBlock {
   std::uint64_t start = 0;  // inclusive
   std::uint64_t end = 0;    // exclusive
+
+  bool operator==(const SackBlock&) const = default;
 };
 
 struct TcpSegment {

@@ -1,5 +1,7 @@
 #include "util/bytes.h"
 
+#include "util/check.h"
+
 namespace longlook {
 
 void ByteWriter::u16(std::uint16_t v) {
@@ -99,4 +101,22 @@ bool ByteReader::skip(std::size_t n) {
   return true;
 }
 
+namespace util {
+namespace {
+
+// Non-const on purpose: a const array goes to .rodata and is paged in from
+// the binary; zero-initialised writable storage goes to .bss and is never
+// backed while nothing writes it. Only read through zero_bytes().
+alignas(64) std::uint8_t zero_region[kZeroBytesMax];
+
+}  // namespace
+
+BytesView zero_bytes(std::size_t n) {
+  LL_CHECK(n <= kZeroBytesMax)
+      << "zero_bytes(" << n << ") exceeds the " << kZeroBytesMax
+      << "-byte zero region";
+  return BytesView(zero_region, n);
+}
+
+}  // namespace util
 }  // namespace longlook

@@ -79,4 +79,17 @@ std::size_t varint_length(std::uint64_t v);
 
 constexpr std::uint64_t kVarintMax = (std::uint64_t{1} << 62) - 1;
 
+namespace util {
+
+// Size of the process-wide zero region behind zero_bytes(): two of the
+// 512 KiB body chunks the object service and the upload pump write.
+inline constexpr std::size_t kZeroBytesMax = 1024 * 1024;
+
+// A view of `n` zero bytes, n <= kZeroBytesMax (checked). Synthetic bodies
+// are all zero, so writers take them from here instead of zero-filling a
+// fresh buffer per write. The region is zero-initialised and never written,
+// so it stays in .bss and its pages are never backed.
+BytesView zero_bytes(std::size_t n);
+
+}  // namespace util
 }  // namespace longlook

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "util/bytes.h"
 #include "util/logging.h"
 
 namespace longlook::workload {
@@ -14,6 +15,7 @@ namespace {
 // a bulk upload never sits in one buffer.
 constexpr std::size_t kUploadChunk = 512 * 1024;
 constexpr std::size_t kUploadBacklogLimit = 2 * 1024 * 1024;
+static_assert(2 * kUploadChunk <= util::kZeroBytesMax);
 }  // namespace
 
 ScenarioRunner::ScenarioRunner(Simulator& sim, http::ClientSession& session,
@@ -146,8 +148,8 @@ void ScenarioRunner::write_upload(http::AppStream& stream,
       /*fin=*/upload_bytes == 0);
   if (upload_bytes == 0) return;
   if (upload_bytes <= 2 * kUploadChunk) {
-    Bytes body(static_cast<std::size_t>(upload_bytes), 0);
-    stream.write(body, /*fin=*/true);
+    stream.write(util::zero_bytes(static_cast<std::size_t>(upload_bytes)),
+                 /*fin=*/true);
     return;
   }
   auto remaining = std::make_shared<std::uint64_t>(upload_bytes);
@@ -162,9 +164,8 @@ void ScenarioRunner::write_upload(http::AppStream& stream,
     while (*remaining > 0 && sp->write_backlog() < kUploadBacklogLimit) {
       const std::size_t n = static_cast<std::size_t>(
           std::min<std::uint64_t>(kUploadChunk, *remaining));
-      Bytes chunk(n, 0);
       *remaining -= n;
-      sp->write(chunk, /*fin=*/*remaining == 0);
+      sp->write(util::zero_bytes(n), /*fin=*/*remaining == 0);
       wrote = true;
     }
     if (wrote) session_.flush();

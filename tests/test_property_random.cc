@@ -10,6 +10,8 @@
 //    outstanding-retransmittable-bytes under random ack/loss interleaving,
 //    and the ring answers every query exactly as the map-based reference
 //    (sent_packet_manager_reference.h) does.
+//  * StreamBuffer: every copy_out equals the same range of a plain Bytes
+//    model under random appends and releases, with patterned bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include "quic/stream.h"
 #include "sent_packet_manager_reference.h"
 #include "util/rng.h"
+#include "util/stream_buffer.h"
 
 namespace longlook::quic {
 namespace {
@@ -380,6 +383,63 @@ TEST_P(RandomSeed, StreamChunkingCoversEveryByteExactlyOnce) {
   EXPECT_TRUE(fin_seen);
   EXPECT_TRUE(std::all_of(covered.begin(), covered.end(),
                           [](bool b) { return b; }));
+}
+
+// Random appends (empty, small, around a block, several blocks), reads of
+// random held ranges and releases at random offsets, checked after every
+// step against a plain Bytes holding everything ever appended.
+TEST_P(RandomSeed, StreamBufferMatchesBytesModel) {
+  constexpr std::uint64_t kBlock = util::StreamBuffer::kBlockBytes;
+  Rng rng(GetParam() * 31 + 5);
+  util::StreamBuffer buf;
+  Bytes model;
+  std::uint64_t expected_begin = 0;
+  for (int step = 0; step < 400; ++step) {
+    SCOPED_TRACE(step);
+    const std::uint64_t end = model.size();
+    switch (rng.uniform_int(4)) {
+      case 0:
+      case 1: {
+        std::uint64_t n = 0;
+        switch (rng.uniform_int(4)) {
+          case 0: n = rng.uniform_int(3); break;
+          case 1: n = rng.uniform_int(2000); break;
+          case 2: n = kBlock - 2 + rng.uniform_int(5); break;
+          default: n = rng.uniform_int(4 * kBlock); break;
+        }
+        Bytes data(static_cast<std::size_t>(n));
+        for (std::uint8_t& b : data) {
+          b = static_cast<std::uint8_t>(1 + rng.uniform_int(255));
+        }
+        buf.append(data);
+        model.insert(model.end(), data.begin(), data.end());
+        break;
+      }
+      case 2: {
+        if (end == expected_begin) break;
+        const std::uint64_t lo =
+            expected_begin + rng.uniform_int(end - expected_begin);
+        const std::uint64_t len = rng.uniform_int(end - lo + 1);
+        const auto first = model.begin() + static_cast<std::ptrdiff_t>(lo);
+        EXPECT_EQ(buf.copy_out(lo, static_cast<std::size_t>(len)),
+                  Bytes(first, first + static_cast<std::ptrdiff_t>(len)))
+            << "copy_out(" << lo << ", " << len << ")";
+        break;
+      }
+      default: {
+        const std::uint64_t at = rng.uniform_int(end + kBlock + 1);
+        buf.release_before(at);
+        expected_begin =
+            std::max(expected_begin, std::min(at, end) / kBlock * kBlock);
+        break;
+      }
+    }
+    ASSERT_EQ(buf.begin_offset(), expected_begin);
+    ASSERT_EQ(buf.end_offset(), model.size());
+    ASSERT_EQ(buf.size(), model.size() - expected_begin);
+  }
+  const auto first = model.begin() + static_cast<std::ptrdiff_t>(expected_begin);
+  EXPECT_EQ(buf.copy_out(expected_begin, buf.size()), Bytes(first, model.end()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomSeed, ::testing::Range<std::uint64_t>(1, 13));

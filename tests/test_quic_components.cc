@@ -4,7 +4,10 @@
 // retransmission queue, flow control, reassembly, FIN handling).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "quic/ack_manager.h"
 #include "quic/sent_packet_manager.h"
@@ -441,6 +444,50 @@ TEST(QuicStream, RetransmissionSplitsAcrossChunks) {
   EXPECT_EQ(r2->offset, 1350u);
   EXPECT_EQ(r3->offset, 2700u);
   EXPECT_EQ(r3->data.size(), 300u);
+}
+
+// Each 4-byte word of the stream holds its own index (little-endian), so
+// the bytes at any two offsets a block apart differ.
+Bytes counter_bytes(std::uint64_t offset, std::size_t len) {
+  Bytes b(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::uint64_t at = offset + i;
+    b[i] = static_cast<std::uint8_t>((at / 4) >> (8 * (at % 4)));
+  }
+  return b;
+}
+
+TEST(QuicStream, RetransmissionReadsBytesAcrossBufferBlocks) {
+  constexpr std::size_t kTotal = 200 * 1024;
+  QuicStream s(3, 1 << 20, 1 << 20);
+  // Uneven writes, so write boundaries fall inside send-buffer blocks.
+  for (std::size_t at = 0; at < kTotal;) {
+    const std::size_t n = std::min<std::size_t>(7777, kTotal - at);
+    s.write(counter_bytes(at, n), at + n == kTotal);
+    at += n;
+  }
+  std::uint64_t taken = 0;
+  while (auto c = s.take_chunk(1350, 1 << 20)) {
+    ASSERT_EQ(c->offset, taken);
+    ASSERT_EQ(c->data, counter_bytes(c->offset, c->data.size()));
+    taken += c->data.size();
+  }
+  ASSERT_EQ(taken, kTotal);
+  // Lost ranges that cross the 32 KiB and 64 KiB block boundaries.
+  s.requeue(64 * 1024 - 700, 1400, false);
+  s.requeue(32 * 1024 - 1, 3, false);
+  std::vector<std::pair<std::uint64_t, Bytes>> resent;
+  while (auto c = s.take_chunk(1000, 0)) {
+    ASSERT_TRUE(c->is_retransmission);
+    resent.emplace_back(c->offset, c->data);
+  }
+  ASSERT_EQ(resent.size(), 3u);
+  EXPECT_EQ(resent[0].first, 64u * 1024 - 700);
+  EXPECT_EQ(resent[0].second, counter_bytes(64 * 1024 - 700, 1000));
+  EXPECT_EQ(resent[1].first, 64u * 1024 + 300);
+  EXPECT_EQ(resent[1].second, counter_bytes(64 * 1024 + 300, 400));
+  EXPECT_EQ(resent[2].first, 32u * 1024 - 1);
+  EXPECT_EQ(resent[2].second, counter_bytes(32 * 1024 - 1, 3));
 }
 
 TEST(QuicStream, CancelRetransmissionDropsQueuedRange) {

@@ -103,9 +103,10 @@ QuicPacket random_packet(Rng& rng) {
   return p;
 }
 
-// Test-local copy of the codec's FNV-1a, for forging packets with a *valid*
-// tag but malformed body (the tag check must not mask parser bugs).
-std::uint64_t fnv1a(BytesView data) {
+// The canonical byte-at-a-time FNV-1a: the reference for the codec's
+// zero-run fast path, and the way to forge packets with a *valid* tag but a
+// malformed body (the tag check must not mask parser bugs).
+std::uint64_t fnv1a_bytewise(BytesView data) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (std::uint8_t b : data) {
     h ^= b;
@@ -115,10 +116,58 @@ std::uint64_t fnv1a(BytesView data) {
 }
 
 Bytes seal_body(ByteWriter& w) {
-  const std::uint64_t tag = fnv1a(w.view());
+  const std::uint64_t tag = fnv1a_bytewise(w.view());
   w.u64(tag);
   w.u32(static_cast<std::uint32_t>(tag >> 32));
   return w.take();
+}
+
+// The fast path folds runs of zero words into one table multiply and
+// chops runs longer than the table; it must equal the byte loop exactly.
+// Buffers carry a zero run of every length 0-300 at every alignment within
+// a word, and runs far longer than the 255-word table.
+TEST(QuicWireFuzz, Fnv1aFastPathEqualsByteLoop) {
+  Rng rng(0x5eed0002);
+  auto noise = [&rng](std::size_t n) {
+    Bytes b(n);
+    for (std::uint8_t& x : b) {
+      x = static_cast<std::uint8_t>(1 + rng.uniform_int(255));
+    }
+    return b;
+  };
+  for (std::size_t run = 0; run <= 300; ++run) {
+    for (std::size_t lead = 0; lead < 8; ++lead) {
+      for (std::size_t tail = 0; tail < 10; tail += 3) {
+        Bytes buf = noise(lead);
+        buf.insert(buf.end(), run, 0);
+        const Bytes t = noise(tail);
+        buf.insert(buf.end(), t.begin(), t.end());
+        ASSERT_EQ(fnv1a(buf), fnv1a_bytewise(buf))
+            << "run " << run << " lead " << lead << " tail " << tail;
+      }
+    }
+  }
+  for (const std::size_t run : {2039, 2040, 2041, 4096, 9000, 70001}) {
+    for (std::size_t lead = 0; lead < 8; ++lead) {
+      Bytes buf = noise(lead);
+      buf.insert(buf.end(), run, 0);
+      const Bytes t = noise(5);
+      buf.insert(buf.end(), t.begin(), t.end());
+      buf.insert(buf.end(), run / 3, 0);
+      ASSERT_EQ(fnv1a(buf), fnv1a_bytewise(buf))
+          << "run " << run << " lead " << lead;
+    }
+  }
+  // Random mixes: sparse nonzero bytes inside long zero stretches.
+  for (int iter = 0; iter < 500; ++iter) {
+    Bytes buf(static_cast<std::size_t>(rng.uniform_int(5000)), 0);
+    const std::uint64_t marks = rng.uniform_int(6);
+    for (std::uint64_t m = 0; m < marks && !buf.empty(); ++m) {
+      buf[static_cast<std::size_t>(rng.uniform_int(buf.size()))] =
+          static_cast<std::uint8_t>(1 + rng.uniform_int(255));
+    }
+    ASSERT_EQ(fnv1a(buf), fnv1a_bytewise(buf)) << "iter " << iter;
+  }
 }
 
 TEST(QuicWireFuzz, RandomValidPacketsRoundTripByteIdentically) {

@@ -7,6 +7,7 @@
 #include "harness/testbed.h"
 #include "http/h2_session.h"
 #include "http/object_service.h"
+#include "tcp/endpoint.h"
 #include "workload/executor.h"
 
 namespace longlook {
@@ -136,6 +137,47 @@ TEST(TcpE2E, SendBufferHoldsOnlyUnacknowledgedBytes) {
   EXPECT_GT(peak, 0u);
   EXPECT_LT(peak, kBytes / 2);
   EXPECT_LT(sc->send_buffered(), 64u * 1024);
+}
+
+// Synthetic bodies are all zero, so a send buffer that returned the wrong
+// block would still deliver the right bytes. This upload is patterned (each
+// 4-byte word holds its index) and crosses 1% loss, so retransmissions read
+// back from every part of the buffer, and the server checks every byte.
+TEST(TcpE2E, PatternedUploadArrivesExactlyUnderLoss) {
+  Scenario s;
+  s.rate_bps = 100'000'000;
+  s.loss_rate = 0.01;
+  constexpr std::size_t kBytes = 3 * 1024 * 1024 + 123;
+  Bytes upload(kBytes);
+  for (std::size_t i = 0; i < kBytes; ++i) {
+    upload[i] = static_cast<std::uint8_t>((i / 4) >> (8 * (i % 4)));
+  }
+  Testbed tb(s);
+  tcp::TcpServer server(tb.sim(), tb.server_host(), harness::kTcpPort, {});
+  Bytes received;
+  bool fin = false;
+  server.set_accept_handler([&](tcp::TcpConnection& conn) {
+    conn.set_on_data([&](BytesView data, bool is_fin) {
+      received.insert(received.end(), data.begin(), data.end());
+      fin = fin || is_fin;
+    });
+  });
+  tcp::TcpClient client(tb.sim(), tb.client_host(),
+                        tb.server_host().address(), harness::kTcpPort, {});
+  client.connect([&] {
+    // Uneven writes, so write boundaries fall inside send-buffer blocks.
+    for (std::size_t at = 0; at < kBytes;) {
+      const std::size_t n = std::min<std::size_t>(100'003, kBytes - at);
+      client.connection().write(BytesView(upload).subspan(at, n),
+                                at + n == kBytes);
+      at += n;
+    }
+    client.connection().flush();
+  });
+  ASSERT_TRUE(tb.run_until([&] { return fin; }, seconds(120)));
+  EXPECT_GT(client.connection().stats().retransmitted_segments, 0u);
+  ASSERT_EQ(received.size(), kBytes);
+  EXPECT_TRUE(received == upload);
 }
 
 TEST(TcpE2E, MultipleObjectsShareOneConnection) {

@@ -1,9 +1,16 @@
-// Unit tests: TCP segment wire format and configuration derivation.
-// (The connection state machine is exercised end-to-end in test_tcp_e2e.)
+// Unit tests: TCP segment wire format, configuration derivation, the
+// receiver's SACK blocks and the scoreboard invariants. (The connection
+// state machine is exercised end-to-end in test_tcp_e2e.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
+#include "net/link.h"
 #include "tcp/connection.h"
 #include "tcp/segment.h"
+#include "util/rng.h"
 
 namespace longlook::tcp {
 namespace {
@@ -152,6 +159,96 @@ TEST(TcpInvariantDeathTest, ValidAckAndSackAreAccepted) {
   fine.sack = {{2920, 4380}};
   c.conn.on_segment(fine, c.sim.now());
   EXPECT_EQ(c.conn.stats().segments_received, 2u);  // SYN-ACK + this ACK
+}
+
+// The receiver reads its SACK blocks from an index of the chunks that begin
+// a run. Check every ACK against a walk over a model of the out-of-order
+// chunks, under random segments: gaps, overlaps that start mid-chunk (which
+// begin a new block), duplicates, longer replacements and hole fills.
+TEST(TcpSack, BlocksMatchAWalkOverTheChunksUnderRandomSegments) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    Simulator sim;
+    Host host{sim, 1, "client"};
+    std::vector<TcpSegment> acks;
+    DirectionalLink out(sim, LinkConfig{}, [&acks](Packet&& p) {
+      if (auto seg = decode_segment(p.data)) acks.push_back(*seg);
+    });
+    host.set_default_route(&out);
+    TcpConfig cfg = plain_config();
+    cfg.ack_every_n = 1;  // every data segment is answered at once
+    TcpConnection conn(sim, host, cfg, /*peer=*/2, /*peer_port=*/443,
+                       /*local_port=*/40000, /*is_client=*/true);
+    conn.connect([] {});
+    TcpSegment syn_ack;
+    syn_ack.syn = true;
+    syn_ack.ack_flag = true;
+    syn_ack.window = 64 * 1024;
+    conn.on_segment(syn_ack, sim.now());
+    sim.run_for(microseconds(1));
+    ASSERT_TRUE(conn.established());
+
+    Rng rng(seed);
+    std::map<std::uint64_t, std::uint64_t> chunks;  // start -> end
+    std::uint64_t rcv_nxt = 0;
+    std::size_t max_blocks = 0;
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE(step);
+      std::uint64_t seq = rcv_nxt;
+      if (rng.uniform_int(5) != 0) {
+        const std::uint64_t back = std::min<std::uint64_t>(rcv_nxt, 600);
+        seq = rcv_nxt - back + rng.uniform_int(5000);
+      }
+      const std::uint64_t len = (1 + rng.uniform_int(4)) * 100 +
+                                (rng.uniform_int(3) == 0 ? 37 : 0);
+      TcpSegment data;
+      data.ack_flag = true;
+      data.window = 64 * 1024;
+      data.seq = seq;
+      data.payload = Bytes(static_cast<std::size_t>(len), 0x5A);
+      acks.clear();
+      conn.on_segment(data, sim.now());
+      sim.run_for(microseconds(1));
+
+      // Model: store unless a chunk at the same start is as long, then
+      // deliver the front while it touches rcv_nxt.
+      const std::uint64_t end = seq + len;
+      if (end > rcv_nxt) {
+        const std::uint64_t start = std::max(seq, rcv_nxt);
+        auto it = chunks.find(start);
+        if (it == chunks.end() || it->second < end) chunks[start] = end;
+        while (!chunks.empty() && chunks.begin()->first <= rcv_nxt) {
+          rcv_nxt = std::max(rcv_nxt, chunks.begin()->second);
+          chunks.erase(chunks.begin());
+        }
+      }
+      // A chunk extends the run only if it starts exactly where the
+      // previous chunk ends; the last three runs are reported.
+      std::vector<SackBlock> expected;
+      for (const auto& [s, e] : chunks) {
+        if (!expected.empty() && expected.back().end == s) {
+          expected.back().end = e;
+        } else {
+          expected.push_back({s, e});
+        }
+      }
+      if (expected.size() > 3) {
+        expected.erase(expected.begin(), expected.end() - 3);
+      }
+
+      ASSERT_EQ(acks.size(), 1u);
+      std::vector<SackBlock> got = acks[0].sack;
+      if (acks[0].dsack) got.erase(got.begin());
+      ASSERT_EQ(acks[0].ack, rcv_nxt);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].start, expected[i].start) << "block " << i;
+        EXPECT_EQ(got[i].end, expected[i].end) << "block " << i;
+      }
+      max_blocks = std::max(max_blocks, chunks.size());
+    }
+    EXPECT_GT(max_blocks, 3u);  // the schedule did build long chains
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Unit tests: byte codecs (varint, integers), RNG determinism and
-// distributions, simulated-time helpers, and the LL_CHECK/LL_DCHECK/
-// LL_INVARIANT protocol-invariant framework.
+// Unit tests: byte codecs (varint, integers), the block-chained send
+// buffer and the shared zero region, RNG determinism and distributions,
+// simulated-time helpers, and the LL_CHECK/LL_DCHECK/LL_INVARIANT
+// protocol-invariant framework.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +10,7 @@
 #include "util/bytes.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/stream_buffer.h"
 #include "util/time.h"
 
 namespace longlook {
@@ -79,6 +81,101 @@ TEST(Varint, LengthClasses) {
   EXPECT_EQ(varint_length(16383), 2u);
   EXPECT_EQ(varint_length(16384), 4u);
   EXPECT_EQ(varint_length(1 << 30), 8u);
+}
+
+// Stream bytes are patterned, never zero: synthetic bodies are all zero, so
+// a block-addressing bug would not show in any digest. 251 is prime, so a
+// byte differs from the one a block (or any power of two) away.
+std::uint8_t stream_byte(std::uint64_t offset) {
+  return static_cast<std::uint8_t>(offset % 251);
+}
+
+Bytes stream_bytes(std::uint64_t offset, std::size_t len) {
+  Bytes out(len);
+  for (std::size_t i = 0; i < len; ++i) out[i] = stream_byte(offset + i);
+  return out;
+}
+
+constexpr std::size_t kBlock = util::StreamBuffer::kBlockBytes;
+
+TEST(StreamBuffer, AppendsOfEverySizeReadBackExactly) {
+  util::StreamBuffer buf;
+  std::uint64_t end = 0;
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{64 * 1024 - 1},
+        std::size_t{64 * 1024}, kBlock - 1, kBlock, std::size_t{0},
+        std::size_t{1024 * 1024 + 7}}) {
+    buf.append(stream_bytes(end, n));
+    end += n;
+    EXPECT_EQ(buf.end_offset(), end) << "after appending " << n;
+    EXPECT_EQ(buf.size(), end);
+  }
+  EXPECT_EQ(buf.begin_offset(), 0u);
+  EXPECT_EQ(buf.copy_out(0, static_cast<std::size_t>(end)),
+            stream_bytes(0, static_cast<std::size_t>(end)));
+}
+
+TEST(StreamBuffer, CopyOutSpansBlockBoundaries) {
+  util::StreamBuffer buf;
+  buf.append(stream_bytes(0, 3 * kBlock + 100));
+  EXPECT_EQ(buf.copy_out(kBlock - 3, 10), stream_bytes(kBlock - 3, 10));
+  EXPECT_EQ(buf.copy_out(kBlock - 1, 2 * kBlock + 2),
+            stream_bytes(kBlock - 1, 2 * kBlock + 2));
+  EXPECT_EQ(buf.copy_out(kBlock, kBlock), stream_bytes(kBlock, kBlock));
+  EXPECT_EQ(buf.copy_out(3 * kBlock, 100), stream_bytes(3 * kBlock, 100));
+  EXPECT_TRUE(buf.copy_out(2 * kBlock, 0).empty());
+}
+
+TEST(StreamBuffer, ReleaseFreesOnlyWholeBlocksBelowTheOffset) {
+  util::StreamBuffer buf;
+  const std::size_t total = 3 * kBlock + 100;
+  buf.append(stream_bytes(0, total));
+  buf.release_before(0);
+  EXPECT_EQ(buf.begin_offset(), 0u);
+  buf.release_before(kBlock - 1);  // inside block 0
+  EXPECT_EQ(buf.begin_offset(), 0u);
+  buf.release_before(kBlock);  // at the end of block 0
+  EXPECT_EQ(buf.begin_offset(), kBlock);
+  EXPECT_EQ(buf.size(), total - kBlock);
+  buf.release_before(kBlock + 5);  // inside block 1: kept
+  EXPECT_EQ(buf.begin_offset(), kBlock);
+  EXPECT_EQ(buf.copy_out(kBlock, 10), stream_bytes(kBlock, 10));
+  buf.release_before(total + 1000);  // beyond: the partial last block stays
+  EXPECT_EQ(buf.begin_offset(), 3 * kBlock);
+  EXPECT_EQ(buf.end_offset(), total);
+  EXPECT_EQ(buf.copy_out(3 * kBlock, 100), stream_bytes(3 * kBlock, 100));
+  // Appends continue at the end, across the next block boundary.
+  buf.append(stream_bytes(total, kBlock));
+  EXPECT_EQ(buf.copy_out(total - 50, kBlock + 50),
+            stream_bytes(total - 50, kBlock + 50));
+}
+
+TEST(StreamBuffer, ReleasingEveryFullBlockEmptiesTheBuffer) {
+  util::StreamBuffer buf;
+  buf.append(stream_bytes(0, 2 * kBlock));
+  buf.release_before(2 * kBlock);
+  EXPECT_EQ(buf.size(), 0u);
+  EXPECT_EQ(buf.begin_offset(), 2 * kBlock);
+  EXPECT_EQ(buf.end_offset(), 2 * kBlock);
+  buf.append(stream_bytes(2 * kBlock, 7));
+  EXPECT_EQ(buf.copy_out(2 * kBlock, 7), stream_bytes(2 * kBlock, 7));
+}
+
+TEST(ZeroBytes, ViewsOneSharedZeroRegion) {
+  const BytesView small = util::zero_bytes(3);
+  const BytesView whole = util::zero_bytes(util::kZeroBytesMax);
+  EXPECT_EQ(small.size(), 3u);
+  EXPECT_EQ(whole.size(), util::kZeroBytesMax);
+  EXPECT_EQ(small.data(), whole.data());
+  EXPECT_TRUE(util::zero_bytes(0).empty());
+  for (const std::uint8_t b : whole) ASSERT_EQ(b, 0);
+}
+
+using ZeroBytesDeathTest = ::testing::Test;
+
+TEST(ZeroBytesDeathTest, RequestBeyondTheRegionAborts) {
+  EXPECT_DEATH(util::zero_bytes(util::kZeroBytesMax + 1),
+               "CHECK failed.*exceeds the 1048576-byte zero region");
 }
 
 TEST(Rng, DeterministicForSeed) {
